@@ -9,14 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HasZeroEntry
+from .errors import HasZeroEntry, SingularMatrix
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
     close,
-    det,
     find_positivity_signature,
+    inverse,
     principal_submatrix,
     scale_of,
     signature_conjugate,
@@ -41,33 +41,48 @@ THEOREM_NOT_KERNEL = "hypotheses-met-not-kernel"
 THEOREM_NA = "not-applicable"
 
 
+def _zero_threshold(a: np.ndarray, tol: Tolerance) -> float:
+    return tol.zero_tol * scale_of(a)
+
+
+def _nonnegative(a: np.ndarray, tol: Tolerance) -> bool:
+    return bool(a.min() >= -_zero_threshold(a, tol))
+
+
+def _off_diagonal_nonpositive(a: np.ndarray, tol: Tolerance) -> bool:
+    return bool((a - np.diag(np.diag(a))).max() <= _zero_threshold(a, tol))
+
+
+def _inverse_or_none(a: np.ndarray, tol: Tolerance) -> np.ndarray | None:
+    try:
+        return inverse(a, tol)
+    except SingularMatrix:
+        return None
+
+
+def _is_m(a: np.ndarray, inv: np.ndarray | None, tol: Tolerance) -> bool:
+    return inv is not None and _off_diagonal_nonpositive(a, tol) and _nonnegative(inv, tol)
+
+
+def _is_inverse_m(a: np.ndarray, inv: np.ndarray | None, tol: Tolerance) -> bool:
+    # A is the inverse of A^{-1}, so "A^{-1} is an M-matrix" reads
+    # "A >= 0 and A^{-1} has a nonpositive off-diagonal"
+    return inv is not None and _nonnegative(a, tol) and _off_diagonal_nonpositive(inv, tol)
+
+
 def is_m_matrix(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Nonpositive off-diagonal entries and an entrywise-nonnegative inverse.
 
     Singular input returns False.
     """
     a = as_matrix(a)
-    n = a.shape[0]
-    s = scale_of(a)
-    off = a - np.diag(np.diag(a))
-    if off.max() > tol.zero_tol * s:
-        return False
-    if abs(det(a)) <= tol.zero_tol * s:
-        return False
-    inv = np.linalg.inv(a)
-    return bool(inv.min() >= -tol.zero_tol * scale_of(inv))
+    return _is_m(a, _inverse_or_none(a, tol), tol)
 
 
 def is_inverse_m_matrix(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff A is invertible and A^{-1} is an M-matrix."""
     a = as_matrix(a)
-    if abs(det(a)) <= tol.zero_tol * scale_of(a):
-        return False
-    return is_m_matrix(np.linalg.inv(a), tol)
-
-
-def _zero_threshold(a: np.ndarray, tol: Tolerance) -> float:
-    return tol.zero_tol * scale_of(a)
+    return _is_inverse_m(a, _inverse_or_none(a, tol), tol)
 
 
 def is_diag_equiv_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -136,6 +151,20 @@ def count_symmetrizable_3subsets(g, tol: Tolerance = DEFAULT_TOL) -> list[tuple]
     return found
 
 
+def _inverse_m_signature(g: np.ndarray, signature, inv, tol: Tolerance):
+    """`signature` when S G S is an inverse M-matrix, else None.
+
+    inv is G^{-1} (None when G is singular); (S G S)^{-1} = S G^{-1} S needs
+    no second inversion.
+    """
+    if signature is None or inv is None:
+        return None
+    normalised = signature_conjugate(g, signature)
+    if _is_inverse_m(normalised, signature_conjugate(inv, signature), tol):
+        return signature
+    return None
+
+
 def is_diag_equiv_inverse_m(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     """Signature S such that S G S is an inverse M-matrix, or None.
 
@@ -147,9 +176,7 @@ def is_diag_equiv_inverse_m(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | Non
     s = find_positivity_signature(g, tol)
     if s is None:
         return None
-    if is_inverse_m_matrix(signature_conjugate(g, s), tol):
-        return s
-    return None
+    return _inverse_m_signature(g, s, _inverse_or_none(g, tol), tol)
 
 
 def willoughby_inequality(g, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -198,12 +225,12 @@ class KernelReport:
         }
 
 
-def _m_class(g: np.ndarray, signature, tol: Tolerance) -> str:
-    if is_m_matrix(g, tol):
+def _m_class(g: np.ndarray, inv, id_signature, tol: Tolerance) -> str:
+    if _is_m(g, inv, tol):
         return "M-matrix"
-    if is_inverse_m_matrix(g, tol):
+    if _is_inverse_m(g, inv, tol):
         return "inverse-M"
-    if signature is not None:
+    if id_signature is not None:
         return "diag-equiv-inverse-M"
     return "none"
 
@@ -233,8 +260,9 @@ def classify_kernel(
         for j in range(n)
         if abs(g[i, j]) <= thr
     )
-    id_signature = is_diag_equiv_inverse_m(g, tol)
     signature = find_positivity_signature(g, tol)
+    inv = _inverse_or_none(g, tol)
+    id_signature = _inverse_m_signature(g, signature, inv, tol)
     sym3 = tuple(count_symmetrizable_3subsets(g, tol)) if n >= 3 else ()
     vj = vere_jones_check(g, b, gamma_grid=gamma_grid, max_order=max_order, tol=tol)
 
@@ -257,7 +285,7 @@ def classify_kernel(
         zero_pattern=zero_pattern,
         signature=tuple(int(x) for x in signature) if signature is not None else None,
         sym3_subsets=sym3,
-        m_class=_m_class(g, id_signature, tol),
+        m_class=_m_class(g, inv, id_signature, tol),
         vere_jones=vj,
         theorem1=theorem1,
         witnesses=witnesses,

@@ -5,8 +5,9 @@ reproduce-paper (replays the bundled reference examples and prints one
 pass/fail line per check). Matrices are read from JSON or headerless CSV
 files; reports go to stdout as text or a single JSON document.
 
-Exit codes: 0 analysis completed (verdicts are data, not errors), 1 input or
-parse failure, 2 numerical failure (every grid point unusable).
+Exit codes: 0 analysis completed (verdicts are data, not errors), 1 input,
+parse or usage failure, 2 numerical failure (every grid point unusable, or
+an overflow).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import datetime
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,13 +30,7 @@ from .classify import (
     is_symmetrizable_3x3,
 )
 from .errors import MatrixError, PoleAtSigma, SingularMatrix, ZeroPivotEntry
-from .matcore import (
-    DEFAULT_TOL,
-    Tolerance,
-    as_matrix,
-    inverse,
-    principal_submatrix,
-)
+from .matcore import DEFAULT_TOL, Tolerance, inverse, principal_submatrix
 from .matrixio import load_matrix
 from .mcverify import (
     closed_form_laplace,
@@ -54,7 +48,8 @@ from .reductions import (
     symmetrizability_breakpoints,
 )
 
-DEFAULT_SIGMA_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
+# Monte Carlo draws are squared Gaussians, whose transform exponent is 1/2.
+MC_B = 0.5
 MC_ALPHA_POINTS = (
     (0.25, 0.25, 0.25),
     (1.0, 1.0, 1.0),
@@ -63,59 +58,28 @@ MC_ALPHA_POINTS = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Everything one CLI invocation needs."""
-
-    command: str
-    input_path: str | None = None
-    b: float = 0.5
-    gamma_grid: list | None = None
-    max_order: int = 5
-    sigma_grid: list = field(default_factory=lambda: list(DEFAULT_SIGMA_GRID))
-    seed: int = 0
-    mc_count: int = 200_000
-    output: str = "json"
-    zero_tol: float = DEFAULT_TOL.zero_tol
-    rel_tol: float = DEFAULT_TOL.rel_tol
-    deterministic: bool = False
-
-    def tolerance(self) -> Tolerance:
-        return Tolerance(zero_tol=self.zero_tol, rel_tol=self.rel_tol)
-
-
-def _cmd_classify(cfg: RunConfig, g: np.ndarray) -> tuple[int, dict]:
+def _cmd_classify(args, g: np.ndarray, tol: Tolerance) -> tuple[int, dict]:
     report = classify_kernel(
-        g,
-        b=cfg.b,
-        gamma_grid=cfg.gamma_grid,
-        max_order=cfg.max_order,
-        tol=cfg.tolerance(),
+        g, b=args.b, gamma_grid=args.gamma_grid, max_order=args.max_order, tol=tol
     )
-    return 0, {"command": "classify", "b": cfg.b, "report": report.to_dict()}
+    return 0, {"command": "classify", "b": args.b, "report": report.to_dict()}
 
 
-def _cmd_vere_jones(cfg: RunConfig, g: np.ndarray) -> tuple[int, dict]:
+def _cmd_vere_jones(args, g: np.ndarray, tol: Tolerance) -> tuple[int, dict]:
     report = vere_jones_check(
-        g,
-        cfg.b,
-        gamma_grid=cfg.gamma_grid,
-        max_order=cfg.max_order,
-        tol=cfg.tolerance(),
+        g, args.b, gamma_grid=args.gamma_grid, max_order=args.max_order, tol=tol
     )
     code = 0
     if all(scan.status == "skipped" for scan in report.gamma_scans):
         code = 2
-    return code, {"command": "vere-jones", "b": cfg.b, "report": report.to_dict()}
+    return code, {"command": "vere-jones", "b": args.b, "report": report.to_dict()}
 
 
-def _cmd_permanent(cfg: RunConfig, g: np.ndarray) -> tuple[int, dict]:
-    value = per_b(g, cfg.b)
-    return 0, {"command": "permanent", "b": cfg.b, "value": value}
+def _cmd_permanent(args, g: np.ndarray, tol: Tolerance) -> tuple[int, dict]:
+    return 0, {"command": "permanent", "b": args.b, "value": per_b(g, args.b)}
 
 
-def _cmd_reduce_scan(cfg: RunConfig, g: np.ndarray) -> tuple[int, dict]:
-    tol = cfg.tolerance()
+def _cmd_reduce_scan(args, g: np.ndarray, tol: Tolerance) -> tuple[int, dict]:
     n = g.shape[0]
     if n < 4:
         raise MatrixError("reduce-scan needs dimension at least 4")
@@ -143,7 +107,7 @@ def _cmd_reduce_scan(cfg: RunConfig, g: np.ndarray) -> tuple[int, dict]:
                 }
             )
         scan = []
-        for sigma in cfg.sigma_grid:
+        for sigma in args.sigma_grid:
             try:
                 conditioned = conditioning_kernel(g, sigma, pivot, tol)
             except (PoleAtSigma, SingularMatrix) as exc:
@@ -162,18 +126,22 @@ def _cmd_reduce_scan(cfg: RunConfig, g: np.ndarray) -> tuple[int, dict]:
         entry["scan"] = scan
         pivots.append(entry)
     code = 0 if usable_points else 2
-    return code, {"command": "reduce-scan", "sigma_grid": list(cfg.sigma_grid), "pivots": pivots}
+    return code, {"command": "reduce-scan", "sigma_grid": list(args.sigma_grid), "pivots": pivots}
 
 
-def _cmd_mc_verify(cfg: RunConfig, g: np.ndarray) -> tuple[int, dict]:
-    tol = cfg.tolerance()
+def _monte_carlo_lines(
+    g: np.ndarray, count: int, seed: int, tol: Tolerance
+) -> tuple[list[dict], dict | None]:
+    """Empirical against closed-form transform at MC_ALPHA_POINTS (cycled to
+    length n), and the conditioning identity at sigma = 1 with pivot n (None
+    for n = 1). One batch of draws serves every line."""
     n = g.shape[0]
-    batch = sample_squared_gaussian(g, cfg.mc_count, cfg.seed, tol)
+    batch = sample_squared_gaussian(g, count, seed, tol)
     lines = []
     for base in MC_ALPHA_POINTS:
         alphas = [base[i % len(base)] for i in range(n)]
         est = empirical_laplace(batch, alphas)
-        closed = closed_form_laplace(g, alphas, cfg.b)
+        closed = closed_form_laplace(g, alphas, MC_B)
         gap = abs(est.point_estimate - closed)
         lines.append(
             {
@@ -184,25 +152,29 @@ def _cmd_mc_verify(cfg: RunConfig, g: np.ndarray) -> tuple[int, dict]:
                 "within_3se": bool(gap <= 3.0 * est.std_error or gap == 0.0),
             }
         )
-    conditioning = None
-    if n >= 2:
-        check = verify_conditioning(
-            g, 1.0, [0.5] * (n - 1), count=cfg.mc_count, seed=cfg.seed, tol=tol
-        )
-        gap = abs(check.lhs.point_estimate - check.rhs)
-        conditioning = {
-            "sigma": 1.0,
-            "alphas": [0.5] * (n - 1),
-            "empirical": check.lhs.point_estimate,
-            "std_error": check.lhs.std_error,
-            "closed_form": check.rhs,
-            "within_3se": bool(gap <= 3.0 * check.lhs.std_error),
-        }
+    if n < 2:
+        return lines, None
+    alphas = [0.5] * (n - 1)
+    check = verify_conditioning(batch, g, 1.0, alphas, tol)
+    gap = abs(check.lhs.point_estimate - check.rhs)
+    conditioning = {
+        "sigma": 1.0,
+        "alphas": alphas,
+        "empirical": check.lhs.point_estimate,
+        "std_error": check.lhs.std_error,
+        "closed_form": check.rhs,
+        "within_3se": bool(gap <= 3.0 * check.lhs.std_error),
+    }
+    return lines, conditioning
+
+
+def _cmd_mc_verify(args, g: np.ndarray, tol: Tolerance) -> tuple[int, dict]:
+    lines, conditioning = _monte_carlo_lines(g, args.mc_count, args.seed, tol)
     return 0, {
         "command": "mc-verify",
-        "b": cfg.b,
-        "seed": cfg.seed,
-        "count": cfg.mc_count,
+        "b": MC_B,
+        "seed": args.seed,
+        "count": args.mc_count,
         "transform_lines": lines,
         "conditioning": conditioning,
     }
@@ -216,17 +188,8 @@ def _group(name: str, checks: list[dict]) -> dict:
     return {"name": name, "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def reproduce_paper(
-    seed: int = 0,
-    mc_count: int = 200_000,
-    mc_b: float = 0.5,
-    tol: Tolerance = DEFAULT_TOL,
-) -> dict:
-    """Re-run the bundled reference examples; six groups of checks.
-
-    mc_b exists as a negative-control knob: anything other than 0.5 makes
-    the Monte Carlo group fail, since sampling is the squared-Gaussian law.
-    """
+def reproduce_paper(seed: int, mc_count: int, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """Re-run the bundled reference examples; six groups of checks."""
     groups = []
 
     # 1. blockwise inverse-M counterexample
@@ -354,26 +317,22 @@ def reproduce_paper(
 
     # 6. Monte Carlo Laplace transform
     cov = gallery.laplace_demo_covariance()
-    batch = sample_squared_gaussian(cov, mc_count, seed, tol)
-    checks = []
-    for alphas in MC_ALPHA_POINTS:
-        est = empirical_laplace(batch, alphas)
-        closed = closed_form_laplace(cov, alphas, mc_b)
-        gap = abs(est.point_estimate - closed)
-        checks.append(
-            _check(
-                f"transform at alphas={list(alphas)} within 3 SE",
-                gap <= 3.0 * est.std_error or gap == 0.0,
-                f"empirical {est.point_estimate:.5f} vs closed {closed:.5f} (se {est.std_error:.2e})",
-            )
+    lines, conditioning = _monte_carlo_lines(cov, mc_count, seed, tol)
+    checks = [
+        _check(
+            f"transform at alphas={line['alphas']} within 3 SE",
+            line["within_3se"],
+            f"empirical {line['empirical']:.5f} vs closed {line['closed_form']:.5f}"
+            f" (se {line['std_error']:.2e})",
         )
-    conditioning = verify_conditioning(cov, 1.0, (0.5, 0.5), count=mc_count, seed=seed, tol=tol)
-    gap = abs(conditioning.lhs.point_estimate - conditioning.rhs)
+        for line in lines
+    ]
     checks.append(
         _check(
             "conditioning identity at sigma=1 within 3 SE",
-            gap <= 3.0 * conditioning.lhs.std_error,
-            f"empirical {conditioning.lhs.point_estimate:.5f} vs closed {conditioning.rhs:.5f}",
+            conditioning["within_3se"],
+            f"empirical {conditioning['empirical']:.5f}"
+            f" vs closed {conditioning['closed_form']:.5f}",
         )
     )
     groups.append(_group("gaussian laplace transform", checks))
@@ -385,45 +344,30 @@ def reproduce_paper(
     }
 
 
-def _cmd_reproduce(cfg: RunConfig) -> tuple[int, dict]:
-    report = reproduce_paper(seed=cfg.seed, mc_count=cfg.mc_count, tol=cfg.tolerance())
-    return 0, report
+HANDLERS = {
+    "classify": _cmd_classify,
+    "vere-jones": _cmd_vere_jones,
+    "permanent": _cmd_permanent,
+    "reduce-scan": _cmd_reduce_scan,
+    "mc-verify": _cmd_mc_verify,
+}
 
 
-def run(cfg: RunConfig) -> tuple[int, dict]:
-    """Execute one configured command; returns (exit code, report)."""
-    if cfg.command == "reproduce-paper":
-        code, report = _cmd_reproduce(cfg)
+def run(args: argparse.Namespace) -> tuple[int, dict]:
+    """Execute one parsed command; returns (exit code, report)."""
+    tol = Tolerance(zero_tol=args.zero_tol, rel_tol=args.rel_tol)
+    if args.command == "reproduce-paper":
+        code, report = 0, reproduce_paper(args.seed, args.mc_count, tol)
     else:
-        if cfg.input_path is None:
-            raise MatrixError(f"{cfg.command} requires --input")
-        g = as_matrix(load_matrix(cfg.input_path))
-        handler = {
-            "classify": _cmd_classify,
-            "vere-jones": _cmd_vere_jones,
-            "permanent": _cmd_permanent,
-            "reduce-scan": _cmd_reduce_scan,
-            "mc-verify": _cmd_mc_verify,
-        }[cfg.command]
-        code, report = handler(cfg, g)
-    if not cfg.deterministic:
+        code, report = HANDLERS[args.command](args, load_matrix(args.input), tol)
+    if not args.deterministic:
         report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return code, report
 
 
 def _format_text(report: dict, lines: list[str], prefix: str = "") -> None:
     for key, value in report.items():
-        if key == "checks" and isinstance(value, list):
-            for check in value:
-                mark = "PASS" if check["passed"] else "FAIL"
-                detail = f"  [{check['detail']}]" if check.get("detail") else ""
-                lines.append(f"{prefix}  [{mark}] {check['name']}{detail}")
-        elif key == "groups" and isinstance(value, list):
-            for group in value:
-                mark = "PASS" if group["passed"] else "FAIL"
-                lines.append(f"{prefix}[{mark}] {group['name']}")
-                _format_text(group, lines, prefix)
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             lines.append(f"{prefix}{key}:")
             _format_text(value, lines, prefix + "  ")
         elif isinstance(value, list) and value and isinstance(value[0], dict):
@@ -431,7 +375,7 @@ def _format_text(report: dict, lines: list[str], prefix: str = "") -> None:
             for item in value:
                 _format_text(item, lines, prefix + "  ")
                 lines.append(f"{prefix}  -")
-        elif key != "name":
+        else:
             lines.append(f"{prefix}{key}: {value}")
 
 
@@ -442,8 +386,7 @@ def emit(report: dict, output: str) -> str:
     if report.get("command") == "reproduce-paper":
         for group in report["groups"]:
             mark = "PASS" if group["passed"] else "FAIL"
-            print_name = group["name"]
-            lines.append(f"[{mark}] {print_name}")
+            lines.append(f"[{mark}] {group['name']}")
             for check in group["checks"]:
                 mark = "PASS" if check["passed"] else "FAIL"
                 detail = f"  ({check['detail']})" if check.get("detail") else ""
@@ -468,77 +411,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_input: bool = True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="matrix file (.json or .csv)")
-        p.add_argument("--b", type=float, default=0.5, help="transform exponent (default 0.5)")
-        p.add_argument("--format", choices=("json", "text"), default=None, dest="output")
+    def add_command(name: str, help: str, output: str = "json") -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=("json", "text"), default=output, dest="output")
         p.add_argument("--zero-tol", type=float, default=DEFAULT_TOL.zero_tol)
         p.add_argument("--rel-tol", type=float, default=DEFAULT_TOL.rel_tol)
         p.add_argument("--deterministic", action="store_true", help="omit the timestamp field")
+        return p
 
-    p = sub.add_parser("classify", help="full structural classification report")
-    add_common(p)
-    p.add_argument("--gamma-grid", type=_parse_grid, default=None)
-    p.add_argument("--max-order", type=int, default=5, choices=range(2, 9))
+    def add_matrix_command(name: str, help: str, exponent: bool) -> argparse.ArgumentParser:
+        p = add_command(name, help)
+        p.add_argument("--input", required=True, help="matrix file (.json or .csv)")
+        if exponent:
+            p.add_argument("--b", type=float, default=0.5, help="transform exponent (default 0.5)")
+        return p
 
-    p = sub.add_parser("vere-jones", help="existence-criterion scan")
-    add_common(p)
-    p.add_argument("--gamma-grid", type=_parse_grid, default=None)
-    p.add_argument("--max-order", type=int, default=5, choices=range(2, 9))
+    def add_monte_carlo(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--mc-count", type=int, default=200_000)
 
-    p = sub.add_parser("permanent", help="cycle-weighted permanent of the input")
-    add_common(p)
+    for name, help in (
+        ("classify", "full structural classification report"),
+        ("vere-jones", "existence-criterion scan"),
+    ):
+        p = add_matrix_command(name, help, exponent=True)
+        p.add_argument("--gamma-grid", type=_parse_grid, default=None)
+        p.add_argument("--max-order", type=int, default=5, choices=range(2, 9))
 
-    p = sub.add_parser("reduce-scan", help="conditioning/breakpoint scan over pivots")
-    add_common(p)
-    p.add_argument("--sigma-grid", type=_parse_grid, default=list(DEFAULT_SIGMA_GRID))
+    add_matrix_command("permanent", "cycle-weighted permanent of the input", exponent=True)
 
-    p = sub.add_parser("mc-verify", help="Monte Carlo Laplace-transform check (symmetric PSD input)")
-    add_common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc-count", type=int, default=200_000)
+    p = add_matrix_command(
+        "reduce-scan", "conditioning/breakpoint scan over pivots", exponent=False
+    )
+    p.add_argument("--sigma-grid", type=_parse_grid, default=[0.1, 0.5, 1.0, 2.0, 10.0])
 
-    p = sub.add_parser("reproduce-paper", help="replay the bundled reference examples")
-    add_common(p, needs_input=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc-count", type=int, default=200_000)
-
+    add_monte_carlo(
+        add_matrix_command(
+            "mc-verify",
+            "Monte Carlo Laplace-transform check (symmetric PSD input, exponent 1/2)",
+            exponent=False,
+        )
+    )
+    add_monte_carlo(
+        add_command("reproduce-paper", "replay the bundled reference examples", output="text")
+    )
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    output = args.output
-    if output is None:
-        output = "text" if args.command == "reproduce-paper" else "json"
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        b=args.b,
-        gamma_grid=getattr(args, "gamma_grid", None),
-        max_order=getattr(args, "max_order", 5),
-        sigma_grid=getattr(args, "sigma_grid", list(DEFAULT_SIGMA_GRID)),
-        seed=getattr(args, "seed", 0),
-        mc_count=getattr(args, "mc_count", 200_000),
-        output=output,
-        zero_tol=args.zero_tol,
-        rel_tol=args.rel_tol,
-        deterministic=args.deterministic,
-    )
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        code, report = run(cfg)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means numerical failure here
+        return 1 if exc.code else 0
+    try:
+        code, report = run(args)
     except OSError as exc:
         print(f"error reading input: {exc}", file=sys.stderr)
         return 1
     except (MatrixError, ValueError) as exc:
-        print(f"error in {cfg.command}: {exc}", file=sys.stderr)
+        print(f"error in {args.command}: {exc}", file=sys.stderr)
         return 1
-    print(emit(report, cfg.output))
+    except OverflowError as exc:
+        print(f"numerical failure in {args.command}: overflow ({exc})", file=sys.stderr)
+        return 2
+    print(emit(report, args.output))
     return code
 
 

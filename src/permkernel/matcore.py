@@ -150,19 +150,21 @@ def iter_index_subsets(n: int, max_size: int | None = None):
         yield from itertools.combinations(range(1, n + 1), m)
 
 
-def principal_minors(a, tol: Tolerance = DEFAULT_TOL) -> dict:
-    """All 2^n - 1 principal minors keyed by 1-based index subset."""
-    a = as_matrix(a)
+def _minors(a: np.ndarray):
+    """Yield (1-based index subset, principal minor), smallest subsets first."""
     n = a.shape[0]
     if n > MAX_ENUMERATION_DIM:
         raise DimensionTooLarge(
             f"principal-minor enumeration is capped at n = {MAX_ENUMERATION_DIM}"
         )
-    out = {}
     for idx in iter_index_subsets(n):
         z = [i - 1 for i in idx]
-        out[idx] = float(det(a[np.ix_(z, z)]))
-    return out
+        yield idx, det(a[np.ix_(z, z)])
+
+
+def principal_minors(a, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """All 2^n - 1 principal minors keyed by 1-based index subset."""
+    return dict(_minors(as_matrix(a)))
 
 
 def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -171,22 +173,14 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     Equality of all principal minors is the multilinear restatement of
     |I + xA| = |I + xB| for every diagonal x, so this decides whether A and
     B can serve as kernels of the same vector. Exponential in n; intended
-    for n <= 12 and refused above n = 16.
+    for n <= 12 and refused above n = 16. Stops at the first unequal minor.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    n = a.shape[0]
-    if n > MAX_ENUMERATION_DIM:
-        raise DimensionTooLarge(
-            f"principal-minor enumeration is capped at n = {MAX_ENUMERATION_DIM}"
-        )
     s = max(scale_of(a), scale_of(b))
-    for idx in iter_index_subsets(n):
-        z = [i - 1 for i in idx]
-        ma = float(det(a[np.ix_(z, z)]))
-        mb = float(det(b[np.ix_(z, z)]))
+    for (idx, ma), (_, mb) in zip(_minors(a), _minors(b)):
         # floor absorbs round-off on minors that are tiny relative to the
         # natural determinant scale of the subset size
         if not close(ma, mb, tol.rel_tol, floor=tol.zero_tol * s ** len(idx)):

@@ -130,23 +130,25 @@ class ConditioningCheck:
 
 
 def verify_conditioning(
+    batch: SampleBatch,
     g,
     sigma: float,
     alphas,
-    count: int = 200_000,
-    seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> ConditioningCheck:
     """Compare the exponentially tilted empirical transform with the
     conditioning-kernel closed form at exponent 1/2.
 
-    lhs estimates E[exp(-1/2 sum alpha_j psi_j) exp(-sigma/2 psi_n)] divided
-    by E[exp(-sigma/2 psi_n)] (standard error by the delta method for a
-    ratio of correlated means); rhs evaluates the closed form on the
-    conditioning kernel with pivot n.
+    `batch` holds draws with covariance G, as sample_squared_gaussian
+    returns them. lhs estimates E[exp(-1/2 sum alpha_j psi_j) exp(-sigma/2
+    psi_n)] divided by E[exp(-sigma/2 psi_n)] (standard error by the delta
+    method for a ratio of correlated means); rhs evaluates the closed form
+    on the conditioning kernel with pivot n.
     """
     g = as_matrix(g)
     n = g.shape[0]
+    if batch.n != n:
+        raise DimensionMismatch(f"draws have dimension {batch.n}, expected {n}")
     if n < 2:
         raise ValueError("conditioning needs dimension at least 2")
     if sigma <= 0.0:
@@ -157,7 +159,7 @@ def verify_conditioning(
     if np.any(al < 0.0):
         raise ValueError("alphas must be nonnegative")
 
-    batch = sample_squared_gaussian(g, count, seed, tol)
+    count = batch.count
     psi = batch.draws
     numer = np.exp(-0.5 * (psi[:, :-1] @ al + sigma * psi[:, -1]))
     denom = np.exp(-0.5 * sigma * psi[:, -1])

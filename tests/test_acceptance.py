@@ -267,7 +267,8 @@ def test_criterion_8_monte_carlo_laplace():
             total += 1
             if abs(estimate.point_estimate - closed) <= 3.0 * estimate.std_error:
                 hits += 1
-        check = verify_conditioning(g, 1.0, (0.5, 0.5), count=200_000, seed=900 + index)
+        draws = sample_squared_gaussian(g, 200_000, seed=900 + index)
+        check = verify_conditioning(draws, g, 1.0, (0.5, 0.5))
         if abs(check.lhs.point_estimate - check.rhs) > 3.0 * check.lhs.std_error:
             failures.append(f"kernel {index}: conditioning outside 3 SE")
     if hits < 19:

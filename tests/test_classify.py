@@ -157,6 +157,15 @@ def test_classify_kernel_fixture_verdicts():
     assert k_report.witnesses["inverse_m_signature"] == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("scale", [1e3, 1e8])
+def test_classify_kernel_inverse_m_verdict_survives_scaling(scale):
+    # the inverse of a large matrix has a tiny determinant, which must not
+    # read as singular
+    report = classify_kernel(scale * one_symmetrizable_triple(), gamma_grid=(1.0,), max_order=2)
+    assert report.m_class == "inverse-M"
+    assert report.theorem1 == "hypotheses-met-ID"
+
+
 def test_classify_kernel_not_applicable_cases():
     b = tripletwise_divisible_covariance()
     report = classify_kernel(b, gamma_grid=SMALL_GRID, max_order=4)

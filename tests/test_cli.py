@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 
+from permkernel import cli
 from permkernel.cli import main, reproduce_paper
 from permkernel.gallery import blockwise_inverse_m, laplace_demo_covariance
 from permkernel.matrixio import matrix_to_json
@@ -177,14 +178,37 @@ def test_reproduce_paper_cli(tmp_path, capsys):
 
 
 def test_reproduce_paper_has_six_groups():
-    report = reproduce_paper(mc_count=20000)
+    report = reproduce_paper(seed=0, mc_count=20000)
     assert len(report["groups"]) == 6
     assert report["passed"]
 
 
-def test_reproduce_paper_negative_control():
+def test_reproduce_paper_negative_control(monkeypatch):
     # a wrong exponent must fail the Monte Carlo group and only that group
-    report = reproduce_paper(mc_count=20000, mc_b=2.0)
+    monkeypatch.setattr(cli, "MC_B", 2.0)
+    report = reproduce_paper(seed=0, mc_count=20000)
     assert not report["passed"]
     failing = [g["name"] for g in report["groups"] if not g["passed"]]
     assert failing == ["gaussian laplace transform"]
+
+
+def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
+    path = write_fixture(tmp_path, laplace_demo_covariance())
+    # argparse would exit 2, which is reserved for numerical failure
+    assert main(["classify", "--input", path, "--max-order", "9"]) == 1
+    assert main(["mc-verify", "--input", path, "--b", "1.0"]) == 1
+    assert main(["reproduce-paper", "--b", "1.0"]) == 1
+    assert main(["classify"]) == 1
+    assert main([]) == 1
+    assert main(["classify", "--help"]) == 0
+    # a rejected tolerance is an input failure
+    assert main(["classify", "--input", path, "--zero-tol", "0"]) == 1
+
+
+def test_overflow_is_a_one_line_numerical_failure(tmp_path, capsys):
+    path = write_fixture(tmp_path, np.full((2, 2), 1e160))
+    code = main(["vere-jones", "--input", path, "--gamma-grid", "1e-300"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure in vere-jones")
+    assert err.count("\n") == 1

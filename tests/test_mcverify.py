@@ -132,19 +132,22 @@ def test_empirical_matches_closed_form_correlated():
 
 def test_verify_conditioning_trivial_and_random():
     g = np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]])
-    zero = verify_conditioning(g, 1.0, np.zeros(2), count=2000, seed=7)
+    zero = verify_conditioning(sample_squared_gaussian(g, 2000, seed=7), g, 1.0, np.zeros(2))
     assert zero.lhs.point_estimate == pytest.approx(1.0)
     assert zero.rhs == 1.0
 
-    check = verify_conditioning(g, 1.0, (0.5, 0.5), count=200_000, seed=8)
+    check = verify_conditioning(sample_squared_gaussian(g, 200_000, seed=8), g, 1.0, (0.5, 0.5))
     assert abs(check.lhs.point_estimate - check.rhs) <= 3.0 * check.lhs.std_error
 
     # sigma near zero reduces to the marginal transform of the kept block
-    small = verify_conditioning(g, 1e-9, (0.5, 0.5), count=50_000, seed=9)
+    small = verify_conditioning(sample_squared_gaussian(g, 50_000, seed=9), g, 1e-9, (0.5, 0.5))
     marginal = closed_form_laplace(g[:2, :2], (0.5, 0.5), 0.5)
     assert small.rhs == pytest.approx(marginal, rel=1e-6)
 
+    batch = sample_squared_gaussian(g, 100, seed=0)
     with pytest.raises(DimensionMismatch):
-        verify_conditioning(g, 1.0, (0.5,), count=100, seed=0)
+        verify_conditioning(batch, g, 1.0, (0.5,))
     with pytest.raises(ValueError):
-        verify_conditioning(g, 0.0, (0.5, 0.5), count=100, seed=0)
+        verify_conditioning(batch, g, 0.0, (0.5, 0.5))
+    with pytest.raises(DimensionMismatch):
+        verify_conditioning(batch, g[:2, :2], 1.0, (0.5,))
