@@ -411,16 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help: str, output: str = "json") -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
+    def add_command(name: str, summary: str, output: str = "json") -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--format", choices=("json", "text"), default=output, dest="output")
         p.add_argument("--zero-tol", type=float, default=DEFAULT_TOL.zero_tol)
         p.add_argument("--rel-tol", type=float, default=DEFAULT_TOL.rel_tol)
         p.add_argument("--deterministic", action="store_true", help="omit the timestamp field")
         return p
 
-    def add_matrix_command(name: str, help: str, exponent: bool) -> argparse.ArgumentParser:
-        p = add_command(name, help)
+    def add_matrix_command(name: str, summary: str, exponent: bool) -> argparse.ArgumentParser:
+        p = add_command(name, summary)
         p.add_argument("--input", required=True, help="matrix file (.json or .csv)")
         if exponent:
             p.add_argument("--b", type=float, default=0.5, help="transform exponent (default 0.5)")
@@ -430,11 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--mc-count", type=int, default=200_000)
 
-    for name, help in (
+    for name, summary in (
         ("classify", "full structural classification report"),
         ("vere-jones", "existence-criterion scan"),
     ):
-        p = add_matrix_command(name, help, exponent=True)
+        p = add_matrix_command(name, summary, exponent=True)
         p.add_argument("--gamma-grid", type=_parse_grid, default=None)
         p.add_argument("--max-order", type=int, default=5, choices=range(2, 9))
 
@@ -473,7 +473,7 @@ def main(argv=None) -> int:
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:
-        print(f"numerical failure in {args.command}: overflow ({exc})", file=sys.stderr)
+        print(f"numerical failure in {args.command}: overflow: {exc}", file=sys.stderr)
         return 2
     print(emit(report, args.output))
     return code
