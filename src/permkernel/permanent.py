@@ -13,7 +13,9 @@ certificate is found.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +24,7 @@ from .errors import DimensionTooLarge, IndexOutOfRange, SingularMatrix
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
+    _minors,
     as_matrix,
     find_positivity_signature,
     resolvent,
@@ -30,6 +33,42 @@ from .matcore import (
 
 MAX_PERMANENT_DIM = 12
 MAX_POSITIVITY_ORDER = 8
+# (set, block) pairs handled per numpy step of the partition recurrence;
+# bounds its scratch memory to about 200 kB
+PAIR_CHUNK = 1024
+
+
+def _subset_tables(m: int):
+    """Bit table (row T holds the bits of mask T), popcount and lowest set
+    bit of every mask over m indices."""
+    masks = np.arange(1 << m)
+    bits = np.zeros((1 << m, m), dtype=np.uint8)
+    for i in range(m):
+        bits[:, i] = (masks >> i) & 1
+    return bits, bits.sum(axis=1, dtype=np.intp), np.argmax(bits, axis=1)
+
+
+def _cycle_weights(a: np.ndarray, bits, pop, low) -> np.ndarray:
+    """C[T] for every index set T (a bitmask): the sum, over the cyclic
+    orders of T, of the entry products around the cycle.
+
+    Held-Karp: path[T, e] sums the products along the paths that start at
+    min(T), visit all of T and end at e. One product with A extends every
+    path by an edge; the edge back to min(T) closes it into a cycle and
+    gives C[T]. Path rows that are all zero are not extended.
+    """
+    m = a.shape[0]
+    path = np.zeros((1 << m, m))
+    path[1 << np.arange(m), np.arange(m)] = 1.0
+    weight = np.zeros(1 << m)
+    for k in range(1, m + 1):
+        rows = np.flatnonzero(pop == k)
+        rows = rows[path[rows].any(axis=1)]
+        ext = path[rows] @ a
+        weight[rows] = ext[np.arange(len(rows)), low[rows]]
+        r, e = np.nonzero((bits[rows] == 0) & (np.arange(m) > low[rows, None]))
+        path[rows[r] | (1 << e), e] = ext[r, e]
+    return weight
 
 
 def cycle_polynomial(a) -> np.ndarray:
@@ -37,44 +76,42 @@ def cycle_polynomial(a) -> np.ndarray:
 
     Entry c of the returned length-(m+1) array is the sum, over all
     permutations with exactly c cycles, of the corresponding entry products.
-    Permutations are enumerated depth-first by building one cycle at a time
-    from the smallest free index, carrying the running product; branches
-    whose product is exactly zero are pruned.
+    A permutation is a partition of the indices into cycles, so with the
+    Held-Karp cycle weights C[T], poly[S] = sum over blocks T of S that
+    contain min(S) of b * C[T] * poly[S - T]. Only sets without index 1
+    and the full set are needed; blocks with C[T] = 0 are skipped.
     """
     a = as_matrix(a)
     m = a.shape[0]
     if m > MAX_PERMANENT_DIM:
-        raise DimensionTooLarge(
-            f"permutation enumeration is capped at m = {MAX_PERMANENT_DIM}"
-        )
-    rows = a.tolist()
-    coeffs = [0.0] * (m + 1)
-    free = [True] * m
-
-    def open_cycle(done: int, ncycles: int, prod: float) -> None:
-        if done == m:
-            coeffs[ncycles] += prod
-            return
-        start = free.index(True)
-        free[start] = False
-        extend(start, start, prod, done + 1, ncycles)
-        free[start] = True
-
-    def extend(start: int, cur: int, prod: float, done: int, ncycles: int) -> None:
-        row = rows[cur]
-        closing = prod * row[start]
-        if closing != 0.0:
-            open_cycle(done, ncycles + 1, closing)
-        for nxt in range(start + 1, m):
-            if free[nxt]:
-                w = prod * row[nxt]
-                if w != 0.0:
-                    free[nxt] = False
-                    extend(start, nxt, w, done + 1, ncycles)
-                    free[nxt] = True
-
-    open_cycle(0, 0, 1.0)
-    return np.array(coeffs)
+        raise DimensionTooLarge(f"cycle polynomials are capped at m = {MAX_PERMANENT_DIM}")
+    bits, pop, low = _subset_tables(m)
+    weight = _cycle_weights(a, bits, pop, low)
+    full = (1 << m) - 1
+    poly = np.zeros((1 << m, m + 1))
+    poly[0, 0] = 1.0
+    for k in range(1, m + 1):
+        layer = np.flatnonzero(pop == k)
+        layer = layer[((layer & 1) == 0) | (layer == full)]
+        half = 1 << (k - 1)
+        patterns = bits[:half, : k - 1].T
+        step = max(1, PAIR_CHUNK // half)
+        for lo in range(0, len(layer), step):
+            s = layer[lo : lo + step]
+            head = 1 << low[s]
+            rest = s ^ head
+            pos = np.nonzero(bits[rest])[1].reshape(len(s), k - 1)
+            sub = (1 << pos) @ patterns
+            w = weight[sub | head[:, None]]
+            remainder = rest[:, None] ^ sub
+            i, j = np.nonzero(w != 0.0)
+            if i.size == 0:
+                continue
+            terms = w[i, j, None] * poly[remainder[i, j], :m]
+            starts = np.flatnonzero(np.diff(i, prepend=-1))
+            targets = s[i[starts]]
+            poly[targets, 1:] = np.add.reduceat(terms, starts, axis=0)
+    return poly[full]
 
 
 def per_b(a, b: float) -> float:
@@ -113,14 +150,80 @@ class PositivityScan:
     value: float | None = None
 
 
+@functools.lru_cache(maxsize=64)
+def _multisets(n: int, d: int) -> np.ndarray:
+    """The size-d multisets of range(n) as rows of nondecreasing indices, in
+    itertools.combinations_with_replacement order."""
+    return np.array(list(itertools.combinations_with_replacement(range(n), d)), dtype=np.intp)
+
+
+def _multiset_rank(k: np.ndarray, n: int) -> np.ndarray:
+    """Position of each row of k, a nondecreasing size-d multiset of
+    range(n), in itertools.combinations_with_replacement order.
+
+    Adding (0, 1, ..., d-1) maps the multisets, in order, onto the size-d
+    subsets t of range(n + d - 1) in lexicographic order, whose rank is
+    C(n + d - 1, d) - 1 - sum_i C(n + d - 2 - t_i, d - i).
+    """
+    d = k.shape[-1]
+    top = n + d - 1
+    binom = np.array([[math.comb(a, b) for b in range(d + 1)] for a in range(top)])
+    t = k + np.arange(d)
+    return math.comb(top, d) - 1 - binom[top - 1 - t, d - np.arange(d)].sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_level(n: int, d: int):
+    """Index plan of level d of the generating-function recurrence.
+
+    Returns (selections, factorials, plan). selections are the size-d
+    multisets k of 1..n in scan order and factorials[i] = k! = prod_i k_i!.
+    plan[s - 1] = (target, subset, source) holds three index arrays with
+    one entry per pair of a size-s subset S of range(n) and a size-(d - s)
+    multiset j: the position of k = j + 1_S in selections, of S among the
+    size-s subsets in itertools.combinations order, and of j among the
+    size-(d - s) multisets. These pairs are exactly the pairs of a multiset
+    k and a subset S of its support.
+    """
+    own = _multisets(n, d)
+    counts = (own[:, :, None] == np.arange(n)).sum(axis=1)
+    factorials = np.array([math.factorial(c) for c in range(d + 1)], dtype=float)
+    plan = []
+    for s in range(1, min(n, d) + 1):
+        subsets = np.array(list(itertools.combinations(range(n), s)), dtype=np.intp)
+        sources = _multisets(n, d - s)
+        shape = (len(sources), len(subsets))
+        merged = np.concatenate(
+            [
+                np.broadcast_to(sources[:, None, :], (*shape, d - s)),
+                np.broadcast_to(subsets[None, :, :], (*shape, s)),
+            ],
+            axis=-1,
+        )
+        merged.sort(axis=-1)
+        source, subset = np.indices(shape).reshape(2, -1)
+        plan.append((_multiset_rank(merged, n).ravel(), subset, source))
+    selections = [tuple(k) for k in (own + 1).tolist()]
+    return selections, factorials[counts].prod(axis=1), tuple(plan)
+
+
 def is_b_positive_definite(
     a, b: float, max_order: int = 5, tol: Tolerance = DEFAULT_TOL
 ) -> PositivityScan:
     """Search all index multisets of size <= max_order for per_b < 0.
 
-    One nondecreasing representative is scanned per multiset, which is
-    enough because per_b is invariant under simultaneous row/column
-    relabeling. A value below -zero_tol * scale^m counts as a violation.
+    The b-permanents of the repeated principal submatrices are the Taylor
+    coefficients of the generating function
+    det(I - ZA)^(-b) = sum_k per_b(A[k]) z^k / k!, with Z = diag(z). The
+    polynomial det(I - ZA) = sum_S D_S z^S has D_S = (-1)^|S| det A_S, and
+    the Euler operator turns P F' = -b P' F into
+        d f_k = -sum_{nonempty S within supp k} D_S f_{k - 1_S} (d - |S| + b|S|)
+    for |k| = d, so per_b(A[k]) = k! f_k needs only the principal minors of
+    A of size <= max_order. Levels d = 1, 2, ... are computed and checked in
+    turn, each multiset in itertools.combinations_with_replacement order,
+    one nondecreasing representative per multiset (per_b is invariant under
+    simultaneous relabeling). The first value below -zero_tol * scale^d is
+    returned as the witness.
     """
     a = as_matrix(a)
     if max_order < 1:
@@ -131,12 +234,28 @@ def is_b_positive_definite(
         )
     n = a.shape[0]
     amax = scale_of(a)
-    for m in range(1, max_order + 1):
-        threshold = tol.zero_tol * amax**m
-        for sel in itertools.combinations_with_replacement(range(1, n + 1), m):
-            value = per_b(repeated_matrix(a, sel), b)
-            if value < -threshold:
-                return PositivityScan(False, max_order, witness=sel, value=value)
+    minors = _minors(a, max_size=max_order)
+    signed = [None]  # signed[s][i]: D_S for the i-th size-s subset S
+    levels = [np.ones(1)]  # levels[d][i]: f_k for the i-th size-d multiset k
+    for d in range(1, max_order + 1):
+        threshold = tol.zero_tol * amax**d
+        if d <= n:
+            _, _, dets = next(minors)
+            signed.append((-1.0) ** d * dets)
+        selections, factorials, plan = _scan_level(n, d)
+        total = np.zeros(len(selections))
+        for s, (target, subset, source) in enumerate(plan, start=1):
+            weights = signed[s][subset] * levels[d - s][source]
+            total += (d - s + b * s) * np.bincount(target, weights, len(selections))
+        f = -total / d
+        values = factorials * f
+        bad = np.flatnonzero(values < -threshold)
+        if bad.size:
+            i = bad[0]
+            return PositivityScan(
+                False, max_order, witness=selections[i], value=float(values[i])
+            )
+        levels.append(f)
     return PositivityScan(True, max_order)
 
 
@@ -207,8 +326,10 @@ def vere_jones_check(
     """Run both existence conditions on a kernel candidate.
 
     Condition (I): all real eigenvalues nonnegative (complex pairs are
-    ignored). Condition (II): bounded multiset scan of the tilted kernel at
-    every grid gamma; gammas at resolvent poles are skipped with a note.
+    ignored). Condition (II) at every grid gamma: a positivity signature of
+    the tilted kernel certifies a pass at every order; without one, the
+    bounded multiset scan runs. Gammas at resolvent poles are skipped with a
+    note.
     """
     g = as_matrix(g)
     if b <= 0.0:
@@ -233,10 +354,14 @@ def vere_jones_check(
         except SingularMatrix:
             scans.append(GammaScan(gamma, "skipped", note="resolvent pole"))
             continue
+        if find_positivity_signature(tilted, tol) is not None:
+            # S A S is entrywise positive, so every term of every per_b of a
+            # repeated submatrix is positive: the scan cannot fail
+            scans.append(GammaScan(gamma, "pass", signature_certificate=True))
+            continue
         result = is_b_positive_definite(tilted, b, max_order, tol)
-        certificate = find_positivity_signature(tilted, tol) is not None
         if result.passed:
-            scans.append(GammaScan(gamma, "pass", signature_certificate=certificate))
+            scans.append(GammaScan(gamma, "pass"))
         else:
             scans.append(
                 GammaScan(

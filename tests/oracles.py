@@ -1,7 +1,8 @@
 """Independent brute-force oracles.
 
 Everything here deliberately avoids the library's own code paths: cofactor
-expansion for determinants, raw permutation sums for permanents, and a
+expansion for determinants, raw permutation sums for permanents (and
+Ryser's formula where the dimension is too large for them), and a
 power-series recursion for the closed-form transform. Slow and only usable
 for tiny matrices, which is the point.
 """
@@ -77,6 +78,35 @@ def per_b_bruteforce(a, b: float) -> float:
             p *= a[i, perm[i]]
         total += (b ** cycle_count(perm)) * p
     return total
+
+
+def positivity_scan_bruteforce(a, b: float, max_order: int, zero_tol: float = 1e-9):
+    """Multiset-by-multiset b-positivity scan on the permutation-sum oracle.
+
+    Returns (passed, witness, value) with the first nondecreasing 1-based
+    selection, by size and then in combinations_with_replacement order,
+    whose per_b falls below -zero_tol * max(1, max|A|)^m.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    amax = max(1.0, float(np.abs(a).max()))
+    for m in range(1, max_order + 1):
+        for sel in itertools.combinations_with_replacement(range(1, n + 1), m):
+            z = [k - 1 for k in sel]
+            value = per_b_bruteforce(a[np.ix_(z, z)], b)
+            if value < -zero_tol * amax**m:
+                return False, sel, value
+    return True, None, None
+
+
+def permanent_ryser(a) -> tuple:
+    """Permanent by Ryser's inclusion-exclusion formula, vectorised over the
+    column subsets, and the sum of the magnitudes of its terms."""
+    a = np.asarray(a, dtype=float)
+    m = a.shape[0]
+    bits = ((np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
+    terms = np.prod(bits @ a.T, axis=1) * (-1.0) ** (m - bits.sum(axis=1))
+    return float(terms.sum()), float(np.abs(terms).sum())
 
 
 def principal_minors_cofactor(a) -> dict:

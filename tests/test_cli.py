@@ -206,7 +206,9 @@ def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
 
 
 def test_overflow_is_a_one_line_numerical_failure(tmp_path, capsys):
-    path = write_fixture(tmp_path, np.full((2, 2), 1e160))
+    # the negative 2-cycle rules out a positivity signature, so the scan
+    # runs and its order-2 threshold overflows
+    path = write_fixture(tmp_path, [[1e160, -1e160], [1e160, 1e160]])
     code = main(["vere-jones", "--input", path, "--gamma-grid", "1e-300"])
     err = capsys.readouterr().err
     assert code == 2

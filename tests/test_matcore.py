@@ -18,6 +18,7 @@ from permkernel import (
     effectively_equivalent,
     find_positivity_signature,
     inverse,
+    is_b_positive_definite,
     principal_minors,
     principal_submatrix,
     resolvent,
@@ -226,6 +227,34 @@ def test_principal_minors_match_oracle():
     assert set(mine) == set(ref)
     for key in ref:
         assert mine[key] == pytest.approx(ref[key], rel=1e-9, abs=1e-12)
+
+
+def test_minors_take_one_batched_determinant_per_size(monkeypatch):
+    calls = []
+    batched_det = np.linalg.det
+
+    def counting_det(x):
+        calls.append(np.shape(x))
+        return batched_det(x)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    rng = np.random.default_rng(43)
+    a = rng.uniform(0.1, 1.0, (6, 6)) + np.eye(6)
+    assert len(principal_minors(a)) == 63
+    assert [shape[0] for shape in calls] == [6, 15, 20, 15, 6, 1]
+    calls.clear()
+    b = a.copy()
+    b[0, 1] *= 1.1  # changes 2x2 minors first
+    assert not effectively_equivalent(a, b)
+    assert [shape[1:] for shape in calls] == [(1, 1), (1, 1), (2, 2), (2, 2)]
+    calls.clear()
+    # the scan reads minors only up to its order, and stops at a failing level
+    assert is_b_positive_definite(a, 0.5, max_order=3).passed
+    assert [shape[1:] for shape in calls] == [(1, 1), (2, 2), (3, 3)]
+    calls.clear()
+    a[2, 2] = -1.0
+    assert not is_b_positive_definite(a, 0.5, max_order=3).passed
+    assert len(calls) == 1
 
 
 def test_find_positivity_signature_positive_matrix():

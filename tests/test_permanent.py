@@ -17,9 +17,16 @@ from permkernel import (
     resolvent,
     vere_jones_check,
 )
+from permkernel import gallery, permanent
 from permkernel.gallery import blockwise_inverse_m
 
-from oracles import det_cofactor, per_b_bruteforce, permanent_bruteforce
+from oracles import (
+    det_cofactor,
+    per_b_bruteforce,
+    permanent_bruteforce,
+    permanent_ryser,
+    positivity_scan_bruteforce,
+)
 
 # symmetric PSD (a Gram matrix) whose tilted kernel genuinely violates
 # positivity at exponent 0.25: such a matrix is not a valid kernel there
@@ -100,6 +107,29 @@ def test_cycle_polynomial_shape_and_positivity():
     assert per_b(a, 0.7) >= 0.0
 
 
+@pytest.mark.parametrize("m", [10, 11, 12])
+@pytest.mark.parametrize("zero_share", [None, 0.55])
+def test_per_b_at_the_dimension_cap(m, zero_share):
+    rng = np.random.default_rng(100 + m)
+    a = rng.uniform(-1.0, 1.0, (m, m))
+    if zero_share is not None:
+        a.ravel()[rng.permutation(m * m)[: round(zero_share * m * m)]] = 0.0
+    ryser, spread = permanent_ryser(a)
+    # the product of the row abs-sums bounds the sum of |term| over all
+    # permutations; Ryser's own rounding grows with its terms
+    budget = 1e-12 * (float(np.prod(np.abs(a).sum(axis=1))) + spread)
+    assert abs(per_b(a, 1.0) - ryser) <= budget
+    assert abs(per_b(a, -1.0) - (-1.0) ** m * np.linalg.det(a)) <= budget
+
+
+def test_per_b_zero_row_is_exactly_zero():
+    rng = np.random.default_rng(6)
+    a = rng.uniform(-1.0, 1.0, (12, 12))
+    a[5] = 0.0
+    for b in (-1.0, 0.5, 1.0):
+        assert per_b(a, b) == 0.0
+
+
 def test_per_b_dimension_cap():
     with pytest.raises(DimensionTooLarge):
         per_b(np.eye(13), 1.0)
@@ -140,6 +170,9 @@ def test_positivity_scan_trivial_passes():
     rng = np.random.default_rng(5)
     nonneg = rng.uniform(0.0, 1.0, (4, 4))
     assert is_b_positive_definite(nonneg, 1.7, max_order=4).passed
+    # a low-order scan reads only small minors, so the n = 16 cap on
+    # enumerating all of them does not apply
+    assert is_b_positive_definite(np.eye(17), 0.5, max_order=2).passed
 
 
 def test_positivity_scan_finds_frozen_violation():
@@ -159,6 +192,52 @@ def test_positivity_scan_monotone_in_order():
     for order in (6, 7, 8):
         scan = is_b_positive_definite(tilted, 0.25, max_order=order)
         assert not scan.passed and scan.witness is not None
+
+
+def test_positivity_scan_matches_bruteforce_oracle():
+    rng = np.random.default_rng(11)
+    witness_orders = set()
+    for trial in range(160):
+        n = int(rng.integers(1, 5))
+        order = int(rng.integers(1, 6))
+        b = (0.25, 0.5, 1.0, 1.7)[trial % 4]
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        if trial % 2:
+            # positive diagonals push violations past order 1
+            np.fill_diagonal(a, rng.uniform(0.2, 1.5, n))
+        scan = is_b_positive_definite(a, b, max_order=order)
+        passed, witness, value = positivity_scan_bruteforce(a, b, order)
+        assert scan.passed == passed
+        assert scan.witness == witness
+        if not passed:
+            witness_orders.add(len(witness))
+            sub = repeated_matrix(a, witness)
+            bound = float(np.prod(np.abs(sub).sum(axis=1)))
+            assert abs(scan.value - value) <= 1e-10 * bound
+    assert max(witness_orders) >= 3
+
+
+# a 4x4 Gram matrix X X^T whose tilted kernel violates positivity at
+# exponent 0.25; at 0.5 it is a squared-Gaussian kernel, so nothing fails
+GRAM_FACTOR_4X3 = np.array(
+    [
+        [0.16, -0.19, -2.52],
+        [-0.54, -0.05, 0.11],
+        [-1.53, -0.48, -0.98],
+        [-0.81, 1.06, -0.81],
+    ]
+)
+
+
+def test_positivity_scan_runs_at_the_order_cap():
+    tilted = resolvent(GRAM_FACTOR_4X3 @ GRAM_FACTOR_4X3.T, 0.01)
+    # every one of the 494 multisets up to order 8 is evaluated
+    assert is_b_positive_definite(tilted, 0.5, max_order=permanent.MAX_POSITIVITY_ORDER).passed
+    scan = is_b_positive_definite(tilted, 0.25, max_order=permanent.MAX_POSITIVITY_ORDER)
+    passed, witness, value = positivity_scan_bruteforce(tilted, 0.25, 5)
+    assert not passed and not scan.passed
+    assert scan.witness == witness == (1, 1, 1, 2, 3)
+    assert scan.value == pytest.approx(value, rel=1e-10)
 
 
 def test_positivity_scan_order_cap():
@@ -213,6 +292,25 @@ def test_vere_jones_skips_poles():
         vere_jones_check(np.eye(2), 0.5, gamma_grid=())
     with pytest.raises(ValueError):
         vere_jones_check(np.eye(2), -0.5)
+
+
+def test_vere_jones_certificate_skips_the_scan(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a certified gamma must not be scanned")
+
+    monkeypatch.setattr(permanent, "is_b_positive_definite", no_scan)
+    rng = np.random.default_rng(8)
+    off = rng.uniform(0.1, 1.0, (4, 4))
+    np.fill_diagonal(off, 0.0)
+    inv_m = np.linalg.inv(1.3 * max(abs(np.linalg.eigvals(off))) * np.eye(4) - off)
+    signed_inv_m = inv_m * np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
+    for g in (gallery.one_symmetrizable_triple(), signed_inv_m):
+        report = vere_jones_check(g, 0.5)
+        assert report.overall == "pass"
+        assert all(
+            scan.status == "pass" and scan.signature_certificate
+            for scan in report.gamma_scans
+        )
 
 
 def test_vere_jones_inconclusive_without_certificate():
