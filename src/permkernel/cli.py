@@ -33,6 +33,7 @@ from .errors import MatrixError, PoleAtSigma, SingularMatrix, ZeroPivotEntry
 from .matcore import DEFAULT_TOL, Tolerance, inverse, principal_submatrix
 from .matrixio import load_matrix
 from .mcverify import (
+    LTEstimate,
     closed_form_laplace,
     empirical_laplace,
     sample_squared_gaussian,
@@ -129,6 +130,19 @@ def _cmd_reduce_scan(args, g: np.ndarray, tol: Tolerance) -> tuple[int, dict]:
     return code, {"command": "reduce-scan", "sigma_grid": list(args.sigma_grid), "pivots": pivots}
 
 
+def _mc_line(estimate: LTEstimate, closed: float, **fields) -> dict:
+    """One Monte Carlo report line: `fields`, the estimate, the closed form
+    and whether the two agree within 3 standard errors."""
+    gap = abs(estimate.point_estimate - closed)
+    return {
+        **fields,
+        "empirical": estimate.point_estimate,
+        "std_error": estimate.std_error,
+        "closed_form": closed,
+        "within_3se": bool(gap <= 3.0 * estimate.std_error or gap == 0.0),
+    }
+
+
 def _monte_carlo_lines(
     g: np.ndarray, count: int, seed: int, tol: Tolerance
 ) -> tuple[list[dict], dict | None]:
@@ -141,31 +155,12 @@ def _monte_carlo_lines(
     for base in MC_ALPHA_POINTS:
         alphas = [base[i % len(base)] for i in range(n)]
         est = empirical_laplace(batch, alphas)
-        closed = closed_form_laplace(g, alphas, MC_B)
-        gap = abs(est.point_estimate - closed)
-        lines.append(
-            {
-                "alphas": alphas,
-                "empirical": est.point_estimate,
-                "std_error": est.std_error,
-                "closed_form": closed,
-                "within_3se": bool(gap <= 3.0 * est.std_error or gap == 0.0),
-            }
-        )
+        lines.append(_mc_line(est, closed_form_laplace(g, alphas, MC_B), alphas=alphas))
     if n < 2:
         return lines, None
     alphas = [0.5] * (n - 1)
     check = verify_conditioning(batch, g, 1.0, alphas, tol)
-    gap = abs(check.lhs.point_estimate - check.rhs)
-    conditioning = {
-        "sigma": 1.0,
-        "alphas": alphas,
-        "empirical": check.lhs.point_estimate,
-        "std_error": check.lhs.std_error,
-        "closed_form": check.rhs,
-        "within_3se": bool(gap <= 3.0 * check.lhs.std_error),
-    }
-    return lines, conditioning
+    return lines, _mc_line(check.lhs, check.rhs, sigma=1.0, alphas=alphas)
 
 
 def _cmd_mc_verify(args, g: np.ndarray, tol: Tolerance) -> tuple[int, dict]:

@@ -81,9 +81,9 @@ def det(a: np.ndarray) -> float:
         return float(np.linalg.det(a))
 
 
-def close(a: float, b: float, rel_tol: float, floor: float = 0.0) -> bool:
-    """Relative equality with an optional absolute floor."""
-    return abs(a - b) <= max(rel_tol * max(abs(a), abs(b)), floor)
+def close(a: float, b: float, rel_tol: float) -> bool:
+    """Relative equality."""
+    return abs(a - b) <= rel_tol * max(abs(a), abs(b))
 
 
 def determinant(a) -> float:
@@ -162,7 +162,7 @@ def _minors(a: np.ndarray, max_size: int | None = None):
         yield m, z, minors
 
 
-def principal_minors(a, tol: Tolerance = DEFAULT_TOL) -> dict:
+def principal_minors(a) -> dict:
     """All 2^n - 1 principal minors keyed by 1-based index subset."""
     return {
         tuple(idx): float(minor)

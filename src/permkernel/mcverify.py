@@ -9,12 +9,12 @@ that corner, nothing more.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import worker_count
 from .errors import DimensionMismatch, NonpositiveDeterminant, NotPSD, NotSymmetric
 from .matcore import DEFAULT_TOL, Tolerance, as_matrix, scale_of
 from .reductions import conditioning_kernel
@@ -42,16 +42,18 @@ class LTEstimate:
     count: int
 
 
-def _shard_plan(count: int, seed: int) -> list[tuple[int, int]]:
-    plan = []
-    produced = 0
-    index = 0
-    while produced < count:
-        size = min(SHARD_SIZE, count - produced)
-        plan.append((seed + index, size))
-        produced += size
-        index += 1
-    return plan
+def worker_count() -> int:
+    """Threads that fill the shards: one per CPU, at most 8."""
+    return min(os.cpu_count() or 1, 8)
+
+
+def _as_alphas(alphas, n: int) -> np.ndarray:
+    al = np.asarray(alphas, dtype=float).ravel()
+    if al.size != n:
+        raise DimensionMismatch(f"alphas has length {al.size}, expected {n}")
+    if np.any(al < 0.0):
+        raise ValueError("alphas must be nonnegative")
+    return al
 
 
 def sample_squared_gaussian(
@@ -76,29 +78,22 @@ def sample_squared_gaussian(
         raise NotPSD(f"covariance has eigenvalue {eigenvalues.min()}")
     root = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
 
-    def one_shard(spec: tuple[int, int]) -> np.ndarray:
-        sub_seed, size = spec
-        z = np.random.default_rng(sub_seed).standard_normal((size, n))
-        eta = z @ root.T
-        return eta * eta
+    draws = np.empty((count, n))
 
-    plan = _shard_plan(count, seed)
-    workers = min(worker_count(), len(plan))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_shard, plan))
-    else:
-        parts = [one_shard(spec) for spec in plan]
-    return SampleBatch(n=n, count=count, draws=np.concatenate(parts, axis=0))
+    def fill_shard(start: int) -> None:
+        rows = draws[start : start + SHARD_SIZE]
+        z = np.random.default_rng(seed + start // SHARD_SIZE).standard_normal(rows.shape)
+        eta = z @ root.T
+        np.multiply(eta, eta, out=rows)
+
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        list(pool.map(fill_shard, range(0, count, SHARD_SIZE)))
+    return SampleBatch(n=n, count=count, draws=draws)
 
 
 def empirical_laplace(batch: SampleBatch, alphas) -> LTEstimate:
     """Sample mean and standard error of exp(-1/2 sum_i alpha_i psi_i)."""
-    al = np.asarray(alphas, dtype=float).ravel()
-    if al.size != batch.n:
-        raise DimensionMismatch(f"alphas has length {al.size}, expected {batch.n}")
-    if np.any(al < 0.0):
-        raise ValueError("alphas must be nonnegative")
+    al = _as_alphas(alphas, batch.n)
     values = np.exp(-0.5 * batch.draws @ al)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(batch.count)) if batch.count > 1 else 0.0
@@ -108,11 +103,7 @@ def empirical_laplace(batch: SampleBatch, alphas) -> LTEstimate:
 def closed_form_laplace(g, alphas, b: float = 0.5) -> float:
     """det(I + diag(alphas) G)^{-b}."""
     g = as_matrix(g)
-    al = np.asarray(alphas, dtype=float).ravel()
-    if al.size != g.shape[0]:
-        raise DimensionMismatch(f"alphas has length {al.size}, expected {g.shape[0]}")
-    if np.any(al < 0.0):
-        raise ValueError("alphas must be nonnegative")
+    al = _as_alphas(alphas, g.shape[0])
     if b <= 0.0:
         raise ValueError("exponent b must be strictly positive")
     det = float(np.linalg.det(np.eye(g.shape[0]) + al[:, None] * g))
@@ -153,11 +144,7 @@ def verify_conditioning(
         raise ValueError("conditioning needs dimension at least 2")
     if sigma <= 0.0:
         raise ValueError("sigma must be strictly positive")
-    al = np.asarray(alphas, dtype=float).ravel()
-    if al.size != n - 1:
-        raise DimensionMismatch(f"alphas has length {al.size}, expected {n - 1}")
-    if np.any(al < 0.0):
-        raise ValueError("alphas must be nonnegative")
+    al = _as_alphas(alphas, n - 1)
 
     count = batch.count
     psi = batch.draws

@@ -157,21 +157,6 @@ def _multisets(n: int, d: int) -> np.ndarray:
     return np.array(list(itertools.combinations_with_replacement(range(n), d)), dtype=np.intp)
 
 
-def _multiset_rank(k: np.ndarray, n: int) -> np.ndarray:
-    """Position of each row of k, a nondecreasing size-d multiset of
-    range(n), in itertools.combinations_with_replacement order.
-
-    Adding (0, 1, ..., d-1) maps the multisets, in order, onto the size-d
-    subsets t of range(n + d - 1) in lexicographic order, whose rank is
-    C(n + d - 1, d) - 1 - sum_i C(n + d - 2 - t_i, d - i).
-    """
-    d = k.shape[-1]
-    top = n + d - 1
-    binom = np.array([[math.comb(a, b) for b in range(d + 1)] for a in range(top)])
-    t = k + np.arange(d)
-    return math.comb(top, d) - 1 - binom[top - 1 - t, d - np.arange(d)].sum(axis=-1)
-
-
 @functools.lru_cache(maxsize=64)
 def _scan_level(n: int, d: int):
     """Index plan of level d of the generating-function recurrence.
@@ -186,6 +171,10 @@ def _scan_level(n: int, d: int):
     k and a subset S of its support.
     """
     own = _multisets(n, d)
+    # the base-n values of nondecreasing rows in lexicographic order ascend,
+    # and n^d is below 2^63 for every plan that fits in memory
+    place = n ** np.arange(d - 1, -1, -1)
+    values = own @ place
     counts = (own[:, :, None] == np.arange(n)).sum(axis=1)
     factorials = np.array([math.factorial(c) for c in range(d + 1)], dtype=float)
     plan = []
@@ -202,7 +191,7 @@ def _scan_level(n: int, d: int):
         )
         merged.sort(axis=-1)
         source, subset = np.indices(shape).reshape(2, -1)
-        plan.append((_multiset_rank(merged, n).ravel(), subset, source))
+        plan.append((np.searchsorted(values, (merged @ place).ravel()), subset, source))
     selections = [tuple(k) for k in (own + 1).tolist()]
     return selections, factorials[counts].prod(axis=1), tuple(plan)
 
@@ -259,9 +248,9 @@ def is_b_positive_definite(
     return PositivityScan(True, max_order)
 
 
-def default_gamma_grid(count: int = 16) -> list[float]:
-    """Log-spaced gamma grid over [1e-3, 1e3]."""
-    return [float(g) for g in np.logspace(-3.0, 3.0, count)]
+def default_gamma_grid() -> list[float]:
+    """16 log-spaced gamma values over [1e-3, 1e3]."""
+    return [float(g) for g in np.logspace(-3.0, 3.0, 16)]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo Laplace-transform checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from permkernel import (
     sample_squared_gaussian,
     verify_conditioning,
 )
+from permkernel import mcverify
 from permkernel.mcverify import SHARD_SIZE
 
 from oracles import chi2_moment_bound
@@ -34,11 +36,33 @@ def test_sampling_is_seed_deterministic():
 def test_sampling_independent_of_worker_count(monkeypatch):
     g = np.array([[1.0, 0.5], [0.5, 2.0]])
     count = SHARD_SIZE + 1234  # spans two shards
-    monkeypatch.setenv("PERMKERNEL_THREADS", "1")
+    monkeypatch.setattr(mcverify, "worker_count", lambda: 1)
     serial = sample_squared_gaussian(g, count, seed=7)
-    monkeypatch.setenv("PERMKERNEL_THREADS", "4")
+    monkeypatch.setattr(mcverify, "worker_count", lambda: 4)
     threaded = sample_squared_gaussian(g, count, seed=7)
     assert np.array_equal(serial.draws, threaded.draws)
+
+
+def test_sampling_follows_the_shard_seeding_contract():
+    # shard i holds the rows from i * SHARD_SIZE, drawn at seed + i
+    g = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.4], [0.1, 0.4, 1.5]])
+    whole = sample_squared_gaussian(g, 2 * SHARD_SIZE + 7, seed=5)
+    parts = [
+        sample_squared_gaussian(g, count, seed=seed).draws
+        for count, seed in ((SHARD_SIZE, 5), (SHARD_SIZE, 6), (7, 7))
+    ]
+    assert np.array_equal(whole.draws, np.concatenate(parts))
+
+
+def test_sampling_holds_one_copy_of_the_draws(monkeypatch):
+    monkeypatch.setattr(mcverify, "worker_count", lambda: 1)
+    tracemalloc.start()
+    try:
+        batch = sample_squared_gaussian(np.eye(3), 1_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * batch.draws.nbytes
 
 
 def test_sampling_moments():
