@@ -138,6 +138,38 @@ def test_reduce_scan_structure(tmp_path, capsys):
     assert all(point["status"] == "ok" for point in first["scan"])
 
 
+SPARSE_4X4 = [[1, 0.5, 0, 0.3], [0.4, 1, 0.2, 0.6], [0.1, 0.3, 1, 0.5], [0.2, 0.7, 0.4, 1]]
+
+
+def test_reduce_scan_zero_pivot_entry_is_a_note(tmp_path, capsys):
+    path = write_fixture(tmp_path, SPARSE_4X4)
+    code, out = run_cli(
+        capsys, "reduce-scan", "--input", path, "--sigma-grid", "0.5", "--deterministic"
+    )
+    assert code == 0
+    pivots = json.loads(out)["pivots"]
+    for entry in (pivots[0], pivots[2]):
+        k = entry["pivot"]
+        assert entry["note"] == f"pivot row/column {k} has a zero entry"
+        assert entry["breakpoints"] == [] and entry["scan"] == []
+    for entry in (pivots[1], pivots[3]):
+        assert "note" not in entry
+        assert len(entry["breakpoints"]) == 1
+        assert [point["status"] for point in entry["scan"]] == ["ok"]
+
+
+def test_reduce_scan_all_poles_is_numerical_failure(tmp_path, capsys):
+    path = write_fixture(tmp_path, np.where(np.array(SPARSE_4X4) == 0, 0.2, SPARSE_4X4))
+    code, out = run_cli(
+        capsys, "reduce-scan", "--input", path, "--sigma-grid=-1", "--deterministic"
+    )
+    assert code == 2
+    pivots = json.loads(out)["pivots"]
+    assert len(pivots) == 4
+    assert all(point["status"] == "pole" for entry in pivots for point in entry["scan"])
+    assert main(["reduce-scan", "--input", path, "--sigma-grid=-1,0.5"]) == 0
+
+
 def test_reduce_scan_needs_dimension_four(tmp_path, capsys):
     path = write_fixture(tmp_path, np.eye(3))
     assert main(["reduce-scan", "--input", path]) == 1
