@@ -79,6 +79,7 @@ from .reductions import (
     conditioning_kernel,
     johnson_smith_inverse_m,
     ratio_matrix,
+    reduce_scan,
     schur_complement,
     symmetrizability_breakpoints,
 )

@@ -98,10 +98,8 @@ def is_diag_equiv_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     thr = _zero_threshold(a, tol)
     if np.any(np.abs(a) <= thr):
         raise HasZeroEntry("matrix has a zero entry at tolerance")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j] * a[j, i] < 0.0:
-                return False
+    if np.any(a * a.T < 0.0):
+        return False
     for i, j, k in itertools.combinations(range(n), 3):
         lhs = a[i, j] * a[j, k] * a[k, i]
         rhs = a[j, i] * a[k, j] * a[i, k]
@@ -191,12 +189,10 @@ def willoughby_inequality(g, tol: Tolerance = DEFAULT_TOL) -> bool:
     if np.any(g <= 0.0):
         raise ValueError("willoughby_inequality expects positive entries")
     slack = tol.zero_tol * scale_of(g) ** 2
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                if g[i, j] * g[k, k] < g[i, k] * g[k, j] - slack:
-                    return False
-    return True
+    # axes (k, i, j): G(i,j) G(k,k) against G(i,k) G(k,j)
+    lhs = np.diag(g)[:, None, None] * g[None, :, :]
+    rhs = g.T[:, :, None] * g[:, None, :]
+    return not np.any(lhs < rhs - slack)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,16 @@ from .errors import DimensionMismatch, NonpositiveDeterminant, NotPSD, NotSymmet
 from .matcore import DEFAULT_TOL, Tolerance, as_matrix, scale_of
 from .reductions import conditioning_kernel
 
+# Draws are squared Gaussians, whose transform exponent is 1/2.
+MC_B = 0.5
+# Transform check points of laplace_report, each cycled to length n.
+MC_ALPHA_POINTS = (
+    (0.25, 0.25, 0.25),
+    (1.0, 1.0, 1.0),
+    (1.0, 0.0, 0.0),
+    (0.2, 0.4, 0.8),
+)
+
 # Draws are generated in fixed-size shards with sub-seed = seed + shard
 # index, so results depend on (G, count, seed) only, never on worker count.
 SHARD_SIZE = 65536
@@ -167,3 +177,36 @@ def verify_conditioning(
         lhs=LTEstimate(point_estimate=ratio, std_error=se, count=count),
         rhs=float(rhs),
     )
+
+
+def _report_line(estimate: LTEstimate, closed: float, **fields) -> dict:
+    """One report line: `fields`, the estimate, the closed form and whether
+    the two agree within 3 standard errors."""
+    gap = abs(estimate.point_estimate - closed)
+    return {
+        **fields,
+        "empirical": estimate.point_estimate,
+        "std_error": estimate.std_error,
+        "closed_form": closed,
+        "within_3se": bool(gap <= 3.0 * estimate.std_error or gap == 0.0),
+    }
+
+
+def laplace_report(
+    g, count: int, seed: int, tol: Tolerance = DEFAULT_TOL
+) -> tuple[list[dict], dict | None]:
+    """Empirical against closed-form transform at MC_ALPHA_POINTS, and the
+    conditioning identity at sigma = 1 with pivot n (None for n = 1). One
+    batch of `count` draws serves every line."""
+    batch = sample_squared_gaussian(g, count, seed, tol)
+    n = batch.n
+    lines = []
+    for base in MC_ALPHA_POINTS:
+        alphas = [base[i % len(base)] for i in range(n)]
+        est = empirical_laplace(batch, alphas)
+        lines.append(_report_line(est, closed_form_laplace(g, alphas, MC_B), alphas=alphas))
+    if n < 2:
+        return lines, None
+    alphas = [0.5] * (n - 1)
+    check = verify_conditioning(batch, g, 1.0, alphas, tol)
+    return lines, _report_line(check.lhs, check.rhs, sigma=1.0, alphas=alphas)

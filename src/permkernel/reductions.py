@@ -1,17 +1,25 @@
 """Kernel transformations: conditioning kernels, pivot ratio matrices,
-symmetrizability breakpoints in the tilting parameter, block doubling, and
-the Schur-complement criterion for inverse M-matrices."""
+symmetrizability breakpoints in the tilting parameter and the scan over
+pivots that reports them, block doubling, and the Schur-complement
+criterion for inverse M-matrices."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, PoleAtSigma, SingularBlock, ZeroPivotEntry
+from .errors import (
+    IndexOutOfRange,
+    MatrixError,
+    PoleAtSigma,
+    SingularBlock,
+    ZeroPivotEntry,
+)
 from .matcore import DEFAULT_TOL, Tolerance, as_matrix, det, scale_of
-from .classify import is_inverse_m_matrix
+from .classify import count_symmetrizable_3subsets, is_inverse_m_matrix
 
 
 def conditioning_kernel(g, sigma: float, k: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -125,6 +133,48 @@ def symmetrizability_breakpoints(
         ):
             selected.append(r)
     return BreakpointSet(values=tuple(selected), degenerate=False)
+
+
+def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
+    """Per-pivot report of the conditioning scan, one entry per 1-based pivot.
+
+    An entry lists the breakpoints of every triple of the other indices
+    and, at each sigma of `sigma_grid`, the symmetrizable 3-subsets of the
+    conditioning kernel (status "ok") or the pole there (status "pole"). A
+    pivot whose row or column has a zero entry carries a "note" and empty
+    lists instead.
+    """
+    g = as_matrix(g)
+    n = g.shape[0]
+    if n < 4:
+        raise MatrixError("reduce-scan needs dimension at least 4")
+    pivots = []
+    for pivot in range(1, n + 1):
+        try:
+            gamma_mat = ratio_matrix(g, pivot, tol)
+        except ZeroPivotEntry as exc:
+            pivots.append({"pivot": pivot, "note": str(exc), "breakpoints": [], "scan": []})
+            continue
+        rest = [i for i in range(1, n + 1) if i != pivot]
+        breakpoints = []
+        for triple in itertools.combinations(rest, 3):
+            bp = symmetrizability_breakpoints(gamma_mat, triple, g[pivot - 1, pivot - 1], tol)
+            breakpoints.append(
+                {"triple": list(triple), "values": list(bp.values), "degenerate": bp.degenerate}
+            )
+        scan = []
+        for sigma in sigma_grid:
+            try:
+                conditioned = conditioning_kernel(g, sigma, pivot, tol)
+            except PoleAtSigma as exc:
+                scan.append({"sigma": sigma, "status": "pole", "note": str(exc)})
+                continue
+            sym3 = count_symmetrizable_3subsets(conditioned, tol)
+            scan.append(
+                {"sigma": sigma, "status": "ok", "symmetrizable_3subsets": [list(t) for t in sym3]}
+            )
+        pivots.append({"pivot": pivot, "breakpoints": breakpoints, "scan": scan})
+    return pivots
 
 
 def block_double(g, alpha: float) -> np.ndarray:

@@ -4,9 +4,9 @@ import json
 
 import numpy as np
 
-from permkernel import cli
-from permkernel.cli import main, reproduce_paper
-from permkernel.gallery import blockwise_inverse_m, laplace_demo_covariance
+from permkernel import mcverify
+from permkernel.cli import main
+from permkernel.gallery import blockwise_inverse_m, laplace_demo_covariance, reproduce_paper
 from permkernel.matrixio import matrix_to_json
 
 
@@ -200,13 +200,13 @@ def test_mc_verify_rejects_asymmetric_input(tmp_path, capsys):
     assert main(["mc-verify", "--input", path, "--mc-count", "100"]) == 1
 
 
-def test_reproduce_paper_cli(tmp_path, capsys):
-    code, out = run_cli(
-        capsys, "reproduce-paper", "--mc-count", "20000", "--deterministic"
-    )
-    assert code == 0
-    assert "suite: PASS" in out
-    assert out.count("[FAIL]") == 0
+def test_unallocatable_draw_count_is_exit_1(tmp_path, capsys):
+    # 10**15 draws exceed any address space, so nothing is allocated
+    path = write_fixture(tmp_path, laplace_demo_covariance())
+    code = main(["mc-verify", "--input", path, "--mc-count", str(10**15)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error in mc-verify") and err.count("\n") == 1
 
 
 def test_reproduce_paper_has_six_groups():
@@ -217,7 +217,7 @@ def test_reproduce_paper_has_six_groups():
 
 def test_reproduce_paper_negative_control(monkeypatch):
     # a wrong exponent must fail the Monte Carlo group and only that group
-    monkeypatch.setattr(cli, "MC_B", 2.0)
+    monkeypatch.setattr(mcverify, "MC_B", 2.0)
     report = reproduce_paper(seed=0, mc_count=20000)
     assert not report["passed"]
     failing = [g["name"] for g in report["groups"] if not g["passed"]]
