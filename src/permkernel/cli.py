@@ -1,13 +1,15 @@
-"""Batch command-line interface.
+"""Batch command-line interface: argparse, one library call per command,
+then `emit`.
 
-Subcommands: classify, vere-jones, permanent, reduce-scan, mc-verify, and
-reproduce-paper (replays the bundled reference examples and prints one
-pass/fail line per check). Matrices are read from JSON or headerless CSV
-files; reports go to stdout as text or a single JSON document.
+Subcommands: classify, vere-jones, permanent, reduce-scan
+(`reductions.reduce_scan`), mc-verify (`mcverify.laplace_report`), and
+reproduce-paper (`gallery.reproduce_paper`, one pass/fail line per
+reference check). Matrices are read from JSON or headerless CSV files;
+reports go to stdout as text or a single JSON document.
 
 Exit codes: 0 analysis completed (verdicts are data, not errors), 1 input,
-parse or usage failure, 2 numerical failure (every grid point unusable, or
-an overflow).
+parse or usage failure, or a draw count too large to allocate, 2 numerical
+failure (every grid point unusable, or an overflow).
 """
 
 from __future__ import annotations

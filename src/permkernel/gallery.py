@@ -136,11 +136,6 @@ def _check(name: str, passed: bool, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-# Each check function below takes (seed, mc_count, tol) and returns its
-# list of checks; only the block-doubled and Monte Carlo groups draw random
-# numbers.
-
-
 def _blockwise_counterexample(seed: int, mc_count: int, tol: Tolerance) -> list[dict]:
     a = blockwise_inverse_m()
     a_inv = inverse(a, tol)
@@ -290,7 +285,9 @@ def _gaussian_laplace_transform(seed: int, mc_count: int, tol: Tolerance) -> lis
     return checks
 
 
-# (group name, check function), in report order
+# (group name, check function), in report order. A check function takes
+# (seed, mc_count, tol) and returns its checks; only the block-doubled and
+# Monte Carlo groups use the seed, and only the Monte Carlo group mc_count.
 REFERENCE_GROUPS = (
     ("blockwise-inverse-M counterexample", _blockwise_counterexample),
     ("two-symmetrizable-triples family", _two_triples_family),

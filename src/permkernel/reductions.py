@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRange,
-    MatrixError,
-    PoleAtSigma,
-    SingularBlock,
-    ZeroPivotEntry,
-)
+from .errors import IndexOutOfRange, MatrixError, PoleAtSigma, SingularBlock, ZeroPivotEntry
 from .matcore import DEFAULT_TOL, Tolerance, as_matrix, det, scale_of
 from .classify import count_symmetrizable_3subsets, is_inverse_m_matrix
 
