@@ -175,6 +175,32 @@ def test_reduce_scan_needs_dimension_four(tmp_path, capsys):
     assert main(["reduce-scan", "--input", path]) == 1
 
 
+def test_reduce_scan_nonpositive_pivot_diagonal_is_an_input_error(tmp_path, capsys):
+    g = np.array(SPARSE_4X4) + 0.1
+    g[0, 0] = -1.0
+    path = write_fixture(tmp_path, g)
+    assert main(["reduce-scan", "--input", path, "--deterministic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error in reduce-scan: pivot_diag must be strictly positive"
+
+
+def test_reduce_scan_at_n4_has_one_triple_per_pivot(tmp_path, capsys):
+    rng = np.random.default_rng(14)
+    g = rng.uniform(-2.0, 2.0, (4, 4))
+    np.fill_diagonal(g, rng.uniform(0.5, 2.0, 4))
+    path = write_fixture(tmp_path, g)
+    code, out = run_cli(
+        capsys, "reduce-scan", "--input", path, "--sigma-grid", "0.1,1,10", "--deterministic"
+    )
+    assert code == 0
+    for entry in json.loads(out)["pivots"]:
+        rest = [i for i in range(1, 5) if i != entry["pivot"]]
+        assert [bp["triple"] for bp in entry["breakpoints"]] == [rest]
+        for point in entry["scan"]:
+            assert point["symmetrizable_3subsets"] in ([], [[1, 2, 3]])
+
+
 def test_mc_verify_runs_small(tmp_path, capsys):
     path = write_fixture(tmp_path, laplace_demo_covariance())
     code, out = run_cli(
