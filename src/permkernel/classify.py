@@ -17,7 +17,6 @@ from .matcore import (
     close,
     find_positivity_signature,
     inverse,
-    principal_submatrix,
     scale_of,
     signature_conjugate,
 )
@@ -85,6 +84,62 @@ def is_inverse_m_matrix(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _is_inverse_m(a, _inverse_or_none(a, tol), tol)
 
 
+_TRIPLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def triple_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C(n, 3) 0-based triples i < j < k of an n x n matrix, in
+    combinations order, as an (m, 3) array, and the (9, m) flat positions
+    of their entries in the row order of `three_cycles`; built once per n."""
+    cached = _TRIPLES.get(n)
+    if cached is None:
+        triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+        i, j, k = triples.T
+        flat = np.stack((i, j, k, j, i, k, i, j, k)) * n + np.stack((j, k, i, i, k, j, i, j, k))
+        cached = _TRIPLES[n] = (triples, flat)
+    return cached
+
+
+def three_cycles(a: np.ndarray) -> np.ndarray:
+    """Entries of every 3x3 principal submatrix of `a`, shape (9, m).
+
+    Column t belongs to triple (i, j, k) = triple_table(n)[0][t]. Rows 0-2
+    are the forward cycle (a_ij, a_jk, a_ki), rows 3-5 the reverse cycle
+    (a_ji, a_ik, a_kj) and rows 6-8 the diagonal (a_ii, a_jj, a_kk).
+    """
+    return np.take(a, triple_table(a.shape[0])[1])
+
+
+def _cycle_products(entries: np.ndarray):
+    """Forward and reverse 3-cycle products."""
+    return entries[0] * entries[1] * entries[2], entries[3] * entries[4] * entries[5]
+
+
+def _symmetrizable(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Boolean mask over the triples of `a`: is the principal submatrix
+    symmetrizable.
+
+    Each triple has its own zero threshold zero_tol * max(1, max|block|). A
+    zero off-diagonal entry decides True; otherwise the diagonal must be
+    nonnegative, opposite entries and the forward 3-cycle must not be
+    negative, and the two 3-cycle magnitudes must agree within rel_tol.
+    """
+    entries = three_cycles(a)
+    magnitude = np.abs(entries)
+    thr = tol.zero_tol * np.maximum(1.0, magnitude.max(axis=0))
+    forward, backward = _cycle_products(entries)
+    # sigma K sigma = |K| needs a nonnegative diagonal and positive cycles;
+    # rows 3, 5, 4 are (a_ji, a_kj, a_ik), opposite to rows 0, 1, 2
+    signs_fit = (
+        (entries[6:] >= -thr).all(axis=0)
+        & (entries[:3] * entries[[3, 5, 4]] >= 0.0).all(axis=0)
+        & (forward >= 0.0)
+    )
+    return (magnitude[:6] <= thr).any(axis=0) | (
+        signs_fit & close(np.abs(forward), np.abs(backward), tol.rel_tol)
+    )
+
+
 def is_diag_equiv_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether D A D^{-1} is symmetric for some positive diagonal D.
 
@@ -94,18 +149,12 @@ def is_diag_equiv_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     Zero entries are out of scope here and raise HasZeroEntry.
     """
     a = as_matrix(a)
-    n = a.shape[0]
     thr = _zero_threshold(a, tol)
     if np.any(np.abs(a) <= thr):
         raise HasZeroEntry("matrix has a zero entry at tolerance")
     if np.any(a * a.T < 0.0):
         return False
-    for i, j, k in itertools.combinations(range(n), 3):
-        lhs = a[i, j] * a[j, k] * a[k, i]
-        rhs = a[j, i] * a[k, j] * a[i, k]
-        if not close(lhs, rhs, tol.rel_tol):
-            return False
-    return True
+    return bool(close(*_cycle_products(three_cycles(a)), tol.rel_tol).all())
 
 
 def is_symmetrizable_3x3(k, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -120,20 +169,7 @@ def is_symmetrizable_3x3(k, tol: Tolerance = DEFAULT_TOL) -> bool:
     k = as_matrix(k)
     if k.shape[0] != 3:
         raise ValueError("is_symmetrizable_3x3 expects a 3x3 matrix")
-    thr = _zero_threshold(k, tol)
-    off = [(i, j) for i in range(3) for j in range(3) if i != j]
-    if any(abs(k[i, j]) <= thr for i, j in off):
-        return True
-    # sigma K sigma = |K| needs a nonnegative diagonal and positive cycles
-    if np.any(np.diag(k) < -thr):
-        return False
-    if any(k[i, j] * k[j, i] < 0.0 for i, j in off):
-        return False
-    if k[0, 1] * k[1, 2] * k[2, 0] < 0.0:
-        return False
-    lhs = abs(k[0, 1] * k[1, 2] * k[2, 0])
-    rhs = abs(k[1, 0] * k[0, 2] * k[2, 1])
-    return close(lhs, rhs, tol.rel_tol)
+    return bool(_symmetrizable(k, tol)[0])
 
 
 def count_symmetrizable_3subsets(g, tol: Tolerance = DEFAULT_TOL) -> list[tuple]:
@@ -142,11 +178,8 @@ def count_symmetrizable_3subsets(g, tol: Tolerance = DEFAULT_TOL) -> list[tuple]
     n = g.shape[0]
     if n < 3:
         raise ValueError("needs a matrix of dimension at least 3")
-    found = []
-    for triple in itertools.combinations(range(1, n + 1), 3):
-        if is_symmetrizable_3x3(principal_submatrix(g, triple), tol):
-            found.append(triple)
-    return found
+    triples = triple_table(n)[0]
+    return [tuple(t) for t in (triples[_symmetrizable(g, tol)] + 1).tolist()]
 
 
 def _inverse_m_signature(g: np.ndarray, signature, inv, tol: Tolerance):

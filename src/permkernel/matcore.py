@@ -81,9 +81,9 @@ def det(a: np.ndarray) -> float:
         return float(np.linalg.det(a))
 
 
-def close(a: float, b: float, rel_tol: float) -> bool:
-    """Relative equality."""
-    return abs(a - b) <= rel_tol * max(abs(a), abs(b))
+def close(a, b, rel_tol: float):
+    """Relative equality, elementwise on arrays."""
+    return np.abs(a - b) <= rel_tol * np.maximum(np.abs(a), np.abs(b))
 
 
 def determinant(a) -> float:

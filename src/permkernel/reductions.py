@@ -5,15 +5,18 @@ criterion for inverse M-matrices."""
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IndexOutOfRange, MatrixError, PoleAtSigma, SingularBlock, ZeroPivotEntry
 from .matcore import DEFAULT_TOL, Tolerance, as_matrix, det, scale_of
-from .classify import count_symmetrizable_3subsets, is_inverse_m_matrix
+from .classify import (
+    count_symmetrizable_3subsets,
+    is_inverse_m_matrix,
+    three_cycles,
+    triple_table,
+)
 
 
 def conditioning_kernel(g, sigma: float, k: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -73,6 +76,52 @@ class BreakpointSet:
             raise ValueError("degenerate breakpoint sets carry no values")
 
 
+def _interval_end(pivot_diag: float) -> float:
+    """1 / pivot_diag, the upper end of the breakpoint interval."""
+    if pivot_diag <= 0.0:
+        raise ValueError("pivot_diag must be strictly positive")
+    return 1.0 / pivot_diag
+
+
+def _breakpoints(gm: np.ndarray, hi: float, tol: Tolerance):
+    """Breakpoints of every triple of `gm` (see `three_cycles`) in one pass.
+
+    Returns (degenerate, values): a flag and the sorted roots in (0, hi)
+    for each triple. The thresholds scale with s = max(1, max|block|) of the
+    triple's 3x3 block: s for c^2, s^2 for c, s^3 for the constant term.
+    """
+    entries = three_cycles(gm)
+    x, y, z, u, v, w = entries[:6]
+    # cubic terms cancel identically; remaining coefficients of c^2, c, 1
+    a2 = (x + y + z) - (u + v + w)
+    a1 = -((x * y + y * z + z * x) - (u * v + v * w + w * u))
+    a0 = x * y * z - u * v * w
+
+    s = np.maximum(1.0, np.abs(entries).max(axis=0))
+    zt = tol.zero_tol
+    quadratic = np.abs(a2) > zt * s
+    linear = ~quadratic & (np.abs(a1) > zt * np.float_power(s, 2))
+    degenerate = ~quadratic & ~linear & (np.abs(a0) <= zt * np.float_power(s, 3))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.sqrt(a1 * a1 - 4.0 * a2 * a0)  # NaN for a negative discriminant
+        left, right = (-a1 - r) / (2.0 * a2), (-a1 + r) / (2.0 * a2)
+        linear_root = np.where(linear, -a0 / a1, np.nan)
+        roots = np.where(
+            quadratic,
+            np.stack((np.fmin(left, right), np.fmax(left, right))),
+            np.stack((linear_root, np.full_like(linear_root, np.nan))),
+        )
+    inside = (0.0 < roots) & (roots < hi)
+    distinct = np.abs(roots[1] - roots[0]) > zt * max(1.0, hi)
+    keep = np.stack((inside[0], inside[1] & (~inside[0] | distinct)), axis=1)
+    values = [
+        [root for root, kept in zip(pair, flags) if kept]
+        for pair, flags in zip(roots.T.tolist(), keep.tolist())
+    ]
+    return degenerate.tolist(), values
+
+
 def symmetrizability_breakpoints(
     gamma_mat, triple, pivot_diag: float, tol: Tolerance = DEFAULT_TOL
 ) -> BreakpointSet:
@@ -87,46 +136,14 @@ def symmetrizability_breakpoints(
     interval (0, 1/pivot_diag).
     """
     gm = as_matrix(gamma_mat)
-    if pivot_diag <= 0.0:
-        raise ValueError("pivot_diag must be strictly positive")
+    hi = _interval_end(pivot_diag)
     ids = [int(i) - 1 for i in triple]
     if len(ids) != 3 or len(set(ids)) != 3:
         raise ValueError("triple must consist of three distinct indices")
     if any(i < 0 or i >= gm.shape[0] for i in ids):
         raise ValueError(f"triple {tuple(triple)} outside 1..{gm.shape[0]}")
-    i, j, k = ids
-    x, y, z = gm[i, j], gm[j, k], gm[k, i]
-    u, v, w = gm[j, i], gm[i, k], gm[k, j]
-
-    # cubic terms cancel identically; remaining coefficients of c^2, c, 1
-    a2 = (x + y + z) - (u + v + w)
-    a1 = -((x * y + y * z + z * x) - (u * v + v * w + w * u))
-    a0 = x * y * z - u * v * w
-
-    s = max(1.0, float(np.abs(gm[np.ix_(ids, ids)]).max()))
-    if (
-        abs(a2) <= tol.zero_tol * s
-        and abs(a1) <= tol.zero_tol * s**2
-        and abs(a0) <= tol.zero_tol * s**3
-    ):
-        return BreakpointSet(values=(), degenerate=True)
-
-    hi = 1.0 / pivot_diag
-    roots: list[float] = []
-    if abs(a2) > tol.zero_tol * s:
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if disc >= 0.0:
-            r = math.sqrt(disc)
-            roots = [(-a1 - r) / (2.0 * a2), (-a1 + r) / (2.0 * a2)]
-    elif abs(a1) > tol.zero_tol * s**2:
-        roots = [-a0 / a1]
-    selected: list[float] = []
-    for r in sorted(float(r) for r in roots):
-        if 0.0 < r < hi and all(
-            abs(r - prev) > tol.zero_tol * max(1.0, hi) for prev in selected
-        ):
-            selected.append(r)
-    return BreakpointSet(values=tuple(selected), degenerate=False)
+    (degenerate,), (values,) = _breakpoints(gm[np.ix_(ids, ids)], hi, tol)
+    return BreakpointSet(values=tuple(values), degenerate=degenerate)
 
 
 def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
@@ -149,13 +166,14 @@ def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
         except ZeroPivotEntry as exc:
             pivots.append({"pivot": pivot, "note": str(exc), "breakpoints": [], "scan": []})
             continue
-        rest = [i for i in range(1, n + 1) if i != pivot]
-        breakpoints = []
-        for triple in itertools.combinations(rest, 3):
-            bp = symmetrizability_breakpoints(gamma_mat, triple, g[pivot - 1, pivot - 1], tol)
-            breakpoints.append(
-                {"triple": list(triple), "values": list(bp.values), "degenerate": bp.degenerate}
-            )
+        hi = _interval_end(g[pivot - 1, pivot - 1])
+        rest = np.delete(np.arange(n), pivot - 1)
+        degenerate, values = _breakpoints(gamma_mat[np.ix_(rest, rest)], hi, tol)
+        triples = rest[triple_table(n - 1)[0]]
+        breakpoints = [
+            {"triple": triple, "values": roots, "degenerate": flag}
+            for triple, roots, flag in zip((triples + 1).tolist(), values, degenerate)
+        ]
         scan = []
         for sigma in sigma_grid:
             try:

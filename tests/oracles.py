@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: cofactor
 expansion for determinants, raw permutation sums for permanents (and
-Ryser's formula where the dimension is too large for them), and a
-power-series recursion for the closed-form transform. Slow and only usable
+Ryser's formula where the dimension is too large for them), a
+power-series recursion for the closed-form transform, and triple-by-triple
+loops for symmetrizability and the conditioning scan. Slow and only usable
 for tiny matrices, which is the point.
 """
 
@@ -138,6 +139,115 @@ def transform_series_2x2(g, b: float, order: int) -> list:
         prev2 = coeffs[m - 2] if m >= 2 else 0.0
         coeffs.append((t * (m - 1 + b) * prev1 - d * (m - 2 + 2 * b) * prev2) / m)
     return coeffs
+
+
+def is_symmetrizable_3x3_loop(k, tol) -> bool:
+    """The 3x3 symmetrizability rules, one entry at a time.
+
+    Zero threshold tol.zero_tol * max(1, max|K|); a zero off-diagonal entry
+    decides True; then a nonnegative diagonal, K_ij K_ji >= 0, a
+    nonnegative forward 3-cycle and equal cycle magnitudes within
+    tol.rel_tol.
+    """
+    k = np.asarray(k, dtype=float)
+    thr = tol.zero_tol * max(1.0, float(np.abs(k).max()))
+    off = [(i, j) for i in range(3) for j in range(3) if i != j]
+    if any(abs(k[i, j]) <= thr for i, j in off):
+        return True
+    if any(k[i, i] < -thr for i in range(3)):
+        return False
+    if any(k[i, j] * k[j, i] < 0.0 for i, j in off):
+        return False
+    if k[0, 1] * k[1, 2] * k[2, 0] < 0.0:
+        return False
+    lhs = abs(k[0, 1] * k[1, 2] * k[2, 0])
+    rhs = abs(k[1, 0] * k[0, 2] * k[2, 1])
+    return abs(lhs - rhs) <= tol.rel_tol * max(lhs, rhs)
+
+
+def count_symmetrizable_3subsets_loop(g, tol) -> list:
+    """1-based 3-subsets with a symmetrizable principal submatrix, in
+    combinations order."""
+    g = np.asarray(g, dtype=float)
+    return [
+        tuple(i + 1 for i in triple)
+        for triple in itertools.combinations(range(g.shape[0]), 3)
+        if is_symmetrizable_3x3_loop(g[np.ix_(triple, triple)], tol)
+    ]
+
+
+def breakpoints_scalar(gamma, triple, pivot_diag: float, tol) -> tuple:
+    """(values, degenerate) of the shifted 3-cycle identity over a 0-based
+    triple, solved as a scalar quadratic and filtered to (0, 1/pivot_diag)."""
+    i, j, k = triple
+    x, y, z = gamma[i, j], gamma[j, k], gamma[k, i]
+    u, v, w = gamma[j, i], gamma[i, k], gamma[k, j]
+    a2 = (x + y + z) - (u + v + w)
+    a1 = -((x * y + y * z + z * x) - (u * v + v * w + w * u))
+    a0 = x * y * z - u * v * w
+    s = max(1.0, float(np.abs(gamma[np.ix_(triple, triple)]).max()))
+    zt = tol.zero_tol
+    if abs(a2) <= zt * s and abs(a1) <= zt * s**2 and abs(a0) <= zt * s**3:
+        return (), True
+    hi = 1.0 / pivot_diag
+    roots = []
+    if abs(a2) > zt * s:
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc >= 0.0:
+            r = math.sqrt(disc)
+            roots = [(-a1 - r) / (2.0 * a2), (-a1 + r) / (2.0 * a2)]
+    elif abs(a1) > zt * s**2:
+        roots = [-a0 / a1]
+    selected = []
+    for r in sorted(float(r) for r in roots):
+        if 0.0 < r < hi and all(abs(r - prev) > zt * max(1.0, hi) for prev in selected):
+            selected.append(r)
+    return tuple(selected), False
+
+
+def reduce_scan_loop(g, sigma_grid, tol) -> list:
+    """The reduce-scan report built pivot by pivot and triple by triple:
+    ratio matrix, scalar breakpoint solve, conditioned kernel and the
+    looped count, with the same notes and errors."""
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0]
+    scale = max(1.0, float(np.abs(g).max()))
+    pivots = []
+    for p in range(n):
+        label = p + 1
+        thr = tol.zero_tol * scale
+        if np.any(np.abs(g[:, p]) <= thr) or np.any(np.abs(g[p, :]) <= thr):
+            note = f"pivot row/column {label} has a zero entry"
+            pivots.append({"pivot": label, "note": note, "breakpoints": [], "scan": []})
+            continue
+        gamma = g / np.outer(g[:, p], g[p, :])
+        if g[p, p] <= 0.0:
+            raise ValueError("pivot_diag must be strictly positive")
+        rest = [i for i in range(n) if i != p]
+        breakpoints = []
+        for triple in itertools.combinations(rest, 3):
+            values, degenerate = breakpoints_scalar(gamma, triple, g[p, p], tol)
+            breakpoints.append(
+                {
+                    "triple": [i + 1 for i in triple],
+                    "values": list(values),
+                    "degenerate": degenerate,
+                }
+            )
+        scan = []
+        for sigma in sigma_grid:
+            denom = 1.0 + sigma * g[p, p]
+            if abs(denom) <= tol.zero_tol * max(1.0, abs(sigma) * scale):
+                note = f"1 + sigma*G({label},{label}) vanishes at sigma = {sigma}"
+                scan.append({"sigma": sigma, "status": "pole", "note": note})
+                continue
+            conditioned = g[np.ix_(rest, rest)] - sigma / denom * np.outer(g[rest, p], g[p, rest])
+            sym3 = count_symmetrizable_3subsets_loop(conditioned, tol)
+            scan.append(
+                {"sigma": sigma, "status": "ok", "symmetrizable_3subsets": [list(t) for t in sym3]}
+            )
+        pivots.append({"pivot": label, "breakpoints": breakpoints, "scan": scan})
+    return pivots
 
 
 def chi2_moment_bound(count: int) -> float:
