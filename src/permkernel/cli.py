@@ -8,8 +8,9 @@ reference check). Matrices are read from JSON or headerless CSV files;
 reports go to stdout as text or a single JSON document.
 
 Exit codes: 0 analysis completed (verdicts are data, not errors), 1 input,
-parse or usage failure, or a draw count too large to allocate, 2 numerical
-failure (every grid point unusable, or an overflow).
+parse or usage failure, a draw count too large to allocate, or a stdout
+closed before the report was written, 2 numerical failure (every grid point
+unusable, or an overflow).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 
 import numpy as np
@@ -197,6 +199,12 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         code, report = run(args)
+        print(emit(report, args.output), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the final
+        # flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         print(f"error reading input: {exc}", file=sys.stderr)
         return 1
@@ -206,7 +214,6 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"numerical failure in {args.command}: overflow: {exc}", file=sys.stderr)
         return 2
-    print(emit(report, args.output))
     return code
 
 

@@ -1,9 +1,14 @@
 """End-to-end CLI tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import permkernel
 from permkernel import mcverify
 from permkernel.cli import main
 from permkernel.gallery import blockwise_inverse_m, laplace_demo_covariance, reproduce_paper
@@ -173,6 +178,28 @@ def test_reduce_scan_all_poles_is_numerical_failure(tmp_path, capsys):
 def test_reduce_scan_needs_dimension_four(tmp_path, capsys):
     path = write_fixture(tmp_path, np.eye(3))
     assert main(["reduce-scan", "--input", path]) == 1
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # the read end is closed before the CLI starts, so its first write fails
+    path = write_fixture(tmp_path, blockwise_inverse_m())
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(permkernel.__file__).resolve().parents[1])}
+    script = "import sys; from permkernel.cli import main; sys.exit(main())"
+    argv = ["reduce-scan", "--input", path, "--format", "text"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_reduce_scan_nonpositive_pivot_diagonal_is_an_input_error(tmp_path, capsys):
