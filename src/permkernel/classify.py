@@ -96,6 +96,8 @@ def triple_table(n: int) -> tuple[np.ndarray, np.ndarray]:
         triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
         i, j, k = triples.T
         flat = np.stack((i, j, k, j, i, k, i, j, k)) * n + np.stack((j, k, i, i, k, j, i, j, k))
+        for shared in (triples, flat):
+            shared.flags.writeable = False
         cached = _TRIPLES[n] = (triples, flat)
     return cached
 

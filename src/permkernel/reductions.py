@@ -103,7 +103,7 @@ def _breakpoints(gm: np.ndarray, hi: float, tol: Tolerance):
     linear = ~quadratic & (np.abs(a1) > zt * np.float_power(s, 2))
     degenerate = ~quadratic & ~linear & (np.abs(a0) <= zt * np.float_power(s, 3))
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         r = np.sqrt(a1 * a1 - 4.0 * a2 * a0)  # NaN for a negative discriminant
         left, right = (-a1 - r) / (2.0 * a2), (-a1 + r) / (2.0 * a2)
         linear_root = np.where(linear, -a0 / a1, np.nan)
