@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonpositiveDeterminant, NotPSD, NotSymmetric
-from .matcore import DEFAULT_TOL, Tolerance, as_matrix, scale_of
+from .matcore import DEFAULT_TOL, Tolerance, as_matrix
 from .reductions import conditioning_kernel
 
 # Draws are squared Gaussians, whose transform exponent is 1/2.
@@ -66,48 +66,145 @@ def _as_alphas(alphas, n: int) -> np.ndarray:
     return al
 
 
+def _covariance_root(g, count: int, seed: int, tol: Tolerance) -> np.ndarray:
+    """Check the sampling inputs; returns R with R R^T = G.
+
+    G must be symmetric PSD at tolerance, both thresholds scaled by ‖G‖max,
+    so that cG is accepted exactly when G is. Eigenvalues in
+    (-zero_tol*‖G‖max, 0) are clamped to zero so rank-deficient covariances
+    (e.g. the all-ones matrix) are accepted.
+    """
+    g = as_matrix(g)
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    s = float(np.abs(g).max())
+    if np.abs(g - g.T).max() > tol.rel_tol * s:
+        raise NotSymmetric("covariance is not symmetric at tolerance")
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (g + g.T))
+    if eigenvalues.min() < -tol.zero_tol * s:
+        raise NotPSD(f"covariance has eigenvalue {eigenvalues.min()}")
+    return vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
+
+
+def _draw_shard(root: np.ndarray, seed: int, index: int, count: int, out=None) -> np.ndarray:
+    """Shard `index` of `count` draws: the squared-Gaussian rows from
+    index * SHARD_SIZE, drawn from default_rng(seed + index)."""
+    rows = min(SHARD_SIZE, count - index * SHARD_SIZE)
+    z = np.random.default_rng(seed + index).standard_normal((rows, root.shape[0]))
+    eta = z @ root.T
+    return np.multiply(eta, eta, out=eta if out is None else out)
+
+
+def _shard_count(count: int) -> int:
+    return -(-count // SHARD_SIZE)
+
+
+def _for_each_shard(count: int, task) -> None:
+    """Run task(index) for every shard of `count` draws on worker_count()
+    threads. Worker w takes shards w, w + workers, ..., so the pool holds
+    one future per worker, however many shards there are."""
+    shards = _shard_count(count)
+    workers = min(worker_count(), shards)
+
+    def work(first: int) -> None:
+        for index in range(first, shards, workers):
+            task(index)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(work, w) for w in range(workers)]:
+            future.result()
+
+
 def sample_squared_gaussian(
     g, count: int, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> SampleBatch:
     """Draw `count` squared-Gaussian vectors with covariance G, seeded.
 
-    G must be symmetric PSD at tolerance; eigenvalues in (-zero_tol*scale, 0)
-    are clamped to zero so rank-deficient covariances (e.g. the all-ones
-    matrix) are accepted. Identical (G, count, seed) give identical draws.
+    Identical (G, count, seed) give identical draws; see _covariance_root
+    for what G must satisfy.
     """
-    g = as_matrix(g)
-    n = g.shape[0]
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    s = scale_of(g)
-    if np.abs(g - g.T).max() > tol.rel_tol * s:
-        raise NotSymmetric("covariance is not symmetric at tolerance")
-    sym = 0.5 * (g + g.T)
-    eigenvalues, vectors = np.linalg.eigh(sym)
-    if eigenvalues.min() < -tol.zero_tol * s:
-        raise NotPSD(f"covariance has eigenvalue {eigenvalues.min()}")
-    root = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
+    root = _covariance_root(g, count, seed, tol)
+    draws = np.empty((count, root.shape[0]))
 
-    draws = np.empty((count, n))
+    def fill_shard(index: int) -> None:
+        start = index * SHARD_SIZE
+        _draw_shard(root, seed, index, count, out=draws[start : start + SHARD_SIZE])
 
-    def fill_shard(start: int) -> None:
-        rows = draws[start : start + SHARD_SIZE]
-        z = np.random.default_rng(seed + start // SHARD_SIZE).standard_normal(rows.shape)
-        eta = z @ root.T
-        np.multiply(eta, eta, out=rows)
+    _for_each_shard(count, fill_shard)
+    return SampleBatch(n=root.shape[0], count=count, draws=draws)
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        list(pool.map(fill_shard, range(0, count, SHARD_SIZE)))
-    return SampleBatch(n=n, count=count, draws=draws)
+
+def _table_width(k: int) -> int:
+    return 1 + k + k * k
+
+
+def _moments(psi: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """One row [rows, column means, centred cross-products] of the values
+    exp(-1/2 psi a) for each column a of the (n, k) exponent matrix."""
+    # (k, rows), so that mean() sums each column's values pairwise
+    values = (-0.5 * exponents.T) @ psi.T
+    np.exp(values, out=values)
+    k = len(values)
+    row = np.empty(_table_width(k))
+    row[0] = values.shape[1]
+    row[1 : k + 1] = values.mean(axis=1)
+    values -= row[1 : k + 1, None]
+    row[k + 1 :] = (values @ values.T).ravel()
+    return row
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """Count, column means and centred cross-products of exp(-1/2 psi A)."""
+
+    count: int
+    mean: np.ndarray
+    scatter: np.ndarray
+
+    @classmethod
+    def combine(cls, table: np.ndarray, k: int) -> _Moments:
+        """Merge the rows of _moments over k columns in index order (Chan,
+        Golub and LeVeque's pairwise update)."""
+        count = table[0, 0]
+        mean = table[0, 1 : k + 1].copy()
+        scatter = table[0, k + 1 :].reshape(k, k).copy()
+        for row in table[1:]:
+            rows = row[0]
+            total = count + rows
+            delta = row[1 : k + 1] - mean
+            mean += delta * (rows / total)
+            scatter += row[k + 1 :].reshape(k, k) + np.outer(delta, delta) * (count * rows / total)
+            count = total
+        return cls(count=int(count), mean=mean, scatter=scatter)
+
+    @classmethod
+    def of(cls, psi: np.ndarray, exponents: np.ndarray) -> _Moments:
+        """Moments of one array of draws."""
+        return cls.combine(_moments(psi, exponents)[None], exponents.shape[1])
+
+    def estimate(self, num: int, den: int | None = None) -> LTEstimate:
+        """Mean of column `num`, or with `den` the ratio of the means of
+        columns num and den (standard error by the delta method for a ratio
+        of correlated means). One draw has zero scatter, so zero error."""
+        cov = self.scatter / max(self.count - 1, 1)
+        value = float(self.mean[num])
+        var = cov[num, num]
+        if den is not None:
+            mean_den = float(self.mean[den])
+            value /= mean_den
+            var = (var - 2.0 * value * cov[num, den] + value * value * cov[den, den]) / (
+                mean_den * mean_den
+            )
+        se = math.sqrt(max(var, 0.0) / self.count)
+        return LTEstimate(point_estimate=value, std_error=se, count=self.count)
 
 
 def empirical_laplace(batch: SampleBatch, alphas) -> LTEstimate:
     """Sample mean and standard error of exp(-1/2 sum_i alpha_i psi_i)."""
     al = _as_alphas(alphas, batch.n)
-    values = np.exp(-0.5 * batch.draws @ al)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(batch.count)) if batch.count > 1 else 0.0
-    return LTEstimate(point_estimate=mean, std_error=se, count=batch.count)
+    return _Moments.of(batch.draws, al[:, None]).estimate(0)
 
 
 def closed_form_laplace(g, alphas, b: float = 0.5) -> float:
@@ -155,28 +252,16 @@ def verify_conditioning(
     if sigma <= 0.0:
         raise ValueError("sigma must be strictly positive")
     al = _as_alphas(alphas, n - 1)
-
-    count = batch.count
-    psi = batch.draws
-    numer = np.exp(-0.5 * (psi[:, :-1] @ al + sigma * psi[:, -1]))
-    denom = np.exp(-0.5 * sigma * psi[:, -1])
-    mean_num = float(numer.mean())
-    mean_den = float(denom.mean())
-    ratio = mean_num / mean_den
-    if count > 1:
-        cov = np.cov(numer, denom, ddof=1)
-        var = (
-            cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio * ratio * cov[1, 1]
-        ) / (mean_den * mean_den * count)
-        se = math.sqrt(max(var, 0.0))
-    else:
-        se = 0.0
+    moments = _Moments.of(batch.draws, _conditioning_exponents(al, sigma))
     kernel = conditioning_kernel(g, sigma, n, tol)
     rhs = closed_form_laplace(kernel, al, 0.5)
-    return ConditioningCheck(
-        lhs=LTEstimate(point_estimate=ratio, std_error=se, count=count),
-        rhs=float(rhs),
-    )
+    return ConditioningCheck(lhs=moments.estimate(0, 1), rhs=float(rhs))
+
+
+def _conditioning_exponents(alphas: np.ndarray, sigma: float) -> np.ndarray:
+    """Exponent columns (alphas, sigma) and (0, ..., 0, sigma): the tilted
+    numerator and denominator of the conditioning identity."""
+    return np.array([[*alphas, sigma], [0.0] * len(alphas) + [sigma]]).T
 
 
 def _report_line(estimate: LTEstimate, closed: float, **fields) -> dict:
@@ -196,17 +281,35 @@ def laplace_report(
     g, count: int, seed: int, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[list[dict], dict | None]:
     """Empirical against closed-form transform at MC_ALPHA_POINTS, and the
-    conditioning identity at sigma = 1 with pivot n (None for n = 1). One
-    batch of `count` draws serves every line."""
-    batch = sample_squared_gaussian(g, count, seed, tol)
-    n = batch.n
-    lines = []
-    for base in MC_ALPHA_POINTS:
-        alphas = [base[i % len(base)] for i in range(n)]
-        est = empirical_laplace(batch, alphas)
-        lines.append(_report_line(est, closed_form_laplace(g, alphas, MC_B), alphas=alphas))
+    conditioning identity at sigma = 1 with pivot n (None for n = 1).
+
+    One pass serves every line: each shard of `count` draws is drawn,
+    transformed by every exponent column and reduced to its moments in one
+    task, so no (count, n) array is held.
+    """
+    root = _covariance_root(g, count, seed, tol)
+    n = root.shape[0]
+    points = [[base[i % len(base)] for i in range(n)] for base in MC_ALPHA_POINTS]
+    columns = [np.array(points).T]
+    sigma, cond_alphas = 1.0, [0.5] * (n - 1)
+    if n > 1:
+        columns.append(_conditioning_exponents(np.array(cond_alphas), sigma))
+    exponents = np.hstack(columns)
+    k = exponents.shape[1]
+    table = np.empty((_shard_count(count), _table_width(k)))
+
+    def reduce_shard(index: int) -> None:
+        table[index] = _moments(_draw_shard(root, seed, index, count), exponents)
+
+    _for_each_shard(count, reduce_shard)
+    moments = _Moments.combine(table, k)
+    lines = [
+        _report_line(moments.estimate(j), closed_form_laplace(g, alphas, MC_B), alphas=alphas)
+        for j, alphas in enumerate(points)
+    ]
     if n < 2:
         return lines, None
-    alphas = [0.5] * (n - 1)
-    check = verify_conditioning(batch, g, 1.0, alphas, tol)
-    return lines, _report_line(check.lhs, check.rhs, sigma=1.0, alphas=alphas)
+    kernel = conditioning_kernel(g, sigma, n, tol)
+    rhs = closed_form_laplace(kernel, cond_alphas, 0.5)
+    check = _report_line(moments.estimate(k - 2, k - 1), rhs, sigma=sigma, alphas=cond_alphas)
+    return lines, check

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own code paths: cofactor
 expansion for determinants, raw permutation sums for permanents (and
 Ryser's formula where the dimension is too large for them), a
 power-series recursion for the closed-form transform, and triple-by-triple
-loops for symmetrizability and the conditioning scan. Slow and only usable
-for tiny matrices, which is the point.
+loops for symmetrizability and the conditioning scan, and one whole-array
+pass per line for the Monte Carlo report. Slow and only usable for tiny
+matrices, which is the point.
 """
 
 import itertools
@@ -253,3 +254,55 @@ def reduce_scan_loop(g, sigma_grid, tol) -> list:
 def chi2_moment_bound(count: int) -> float:
     # 3 sigma for the mean of chi-square(1): variance 2
     return 3.0 * math.sqrt(2.0 / count)
+
+
+def laplace_report_batch(g, count: int, seed: int, shard_size: int) -> tuple:
+    """`mcverify.laplace_report` from one (count, n) array of draws, reduced
+    line by line with full-array means, standard deviations and np.cov.
+    Shard i of the draws holds the rows from i * shard_size, drawn from
+    default_rng(seed + i). G must already be a valid covariance."""
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0]
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (g + g.T))
+    root = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
+    draws = np.empty((count, n))
+    for start in range(0, count, shard_size):
+        rows = draws[start : start + shard_size]
+        z = np.random.default_rng(seed + start // shard_size).standard_normal(rows.shape)
+        eta = z @ root.T
+        rows[:] = eta * eta
+
+    def closed_form(kernel, alphas):
+        return float(np.linalg.det(np.eye(len(alphas)) + np.asarray(alphas)[:, None] * kernel)) ** -0.5
+
+    def line(estimate, se, closed, **fields):
+        gap = abs(estimate - closed)
+        return {
+            **fields,
+            "empirical": estimate,
+            "std_error": se,
+            "closed_form": closed,
+            "within_3se": bool(gap <= 3.0 * se or gap == 0.0),
+        }
+
+    lines = []
+    for base in ((0.25, 0.25, 0.25), (1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.2, 0.4, 0.8)):
+        alphas = [base[i % len(base)] for i in range(n)]
+        values = np.exp(-0.5 * draws @ np.array(alphas))
+        se = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+        lines.append(line(float(values.mean()), se, closed_form(g, alphas), alphas=alphas))
+    if n < 2:
+        return lines, None
+    sigma, alphas = 1.0, [0.5] * (n - 1)
+    numer = np.exp(-0.5 * (draws[:, :-1] @ np.array(alphas) + sigma * draws[:, -1]))
+    denom = np.exp(-0.5 * sigma * draws[:, -1])
+    ratio = float(numer.mean()) / float(denom.mean())
+    se = 0.0
+    if count > 1:
+        cov = np.cov(numer, denom, ddof=1)
+        var = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio * ratio * cov[1, 1]) / (
+            float(denom.mean()) ** 2 * count
+        )
+        se = math.sqrt(max(var, 0.0))
+    kernel = g[:-1, :-1] - sigma / (1.0 + sigma * g[-1, -1]) * np.outer(g[:-1, -1], g[-1, :-1])
+    return lines, line(ratio, se, closed_form(kernel, alphas), sigma=sigma, alphas=alphas)

@@ -262,6 +262,14 @@ def test_unallocatable_draw_count_is_exit_1(tmp_path, capsys):
     assert err.startswith("error in mc-verify") and err.count("\n") == 1
 
 
+def test_negative_seed_is_exit_1(tmp_path, capsys):
+    path = write_fixture(tmp_path, laplace_demo_covariance())
+    code = main(["mc-verify", "--input", path, "--mc-count", "100", "--seed", "-5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error in mc-verify: seed must be nonnegative\n"
+
+
 def test_reproduce_paper_has_six_groups():
     report = reproduce_paper(seed=0, mc_count=20000)
     assert len(report["groups"]) == 6

@@ -16,10 +16,10 @@ from permkernel import (
     sample_squared_gaussian,
     verify_conditioning,
 )
-from permkernel import mcverify
-from permkernel.mcverify import SHARD_SIZE
+from permkernel import gallery, mcverify
+from permkernel.mcverify import SHARD_SIZE, laplace_report
 
-from oracles import chi2_moment_bound
+from oracles import chi2_moment_bound, laplace_report_batch
 
 
 def test_sampling_is_seed_deterministic():
@@ -99,6 +99,32 @@ def test_sampling_input_validation():
         sample_squared_gaussian(np.eye(2), 0)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        [[1.0, 0.3], [0.3, 2.0]],
+        [[1.0, 2.0], [2.0, 1.0]],
+        [[1.0, 0.9], [0.1, 1.0]],
+        [[1.0, 1.0 + 1e-7], [1.0 + 1e-7, 1.0]],
+        [[1.0, 1.0 - 1e-7], [1.0 - 1e-7, 1.0]],
+        np.ones((3, 3)),
+        np.zeros((2, 2)),
+        gallery.laplace_demo_covariance(),
+    ],
+)
+def test_input_checks_do_not_depend_on_the_scale_of_g(g):
+    def outcome(c):
+        try:
+            sample_squared_gaussian(c * np.asarray(g), 10, seed=0)
+        except (NotSymmetric, NotPSD) as exc:
+            return type(exc)
+        return None
+
+    at_one = outcome(1.0)
+    for c in np.logspace(-12, 12, 25):
+        assert outcome(c) is at_one, c
+
+
 def test_empirical_laplace_trivial_cases():
     batch = sample_squared_gaussian(np.eye(2), 100, seed=4)
     estimate = empirical_laplace(batch, np.zeros(2))
@@ -175,3 +201,58 @@ def test_verify_conditioning_trivial_and_random():
         verify_conditioning(batch, g, 0.0, (0.5, 0.5))
     with pytest.raises(DimensionMismatch):
         verify_conditioning(batch, g[:2, :2], 1.0, (0.5,))
+
+
+def _report_covariance(n: int) -> np.ndarray:
+    if n == 3:
+        return gallery.laplace_demo_covariance()
+    x = np.random.default_rng(n).standard_normal((n, n + 1))
+    return x @ x.T / (n + 1)
+
+
+def _assert_reports_agree(got, want, rel_tol: float) -> None:
+    got_lines, got_cond = got
+    want_lines, want_cond = want
+    assert (got_cond is None) == (want_cond is None)
+    pairs = list(zip(got_lines, want_lines, strict=True))
+    if want_cond is not None:
+        pairs.append((got_cond, want_cond))
+    for line, expected in pairs:
+        assert sorted(line) == sorted(expected)
+        for key, value in expected.items():
+            if isinstance(value, float):
+                assert math.isclose(line[key], value, rel_tol=rel_tol), (key, line, expected)
+            else:
+                assert line[key] == value, (key, line, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("count", [1, 2, SHARD_SIZE, 2 * SHARD_SIZE + 7])
+def test_laplace_report_matches_the_batch_oracle(n, count):
+    g = _report_covariance(n)
+    report = laplace_report(g, count, 13)
+    _assert_reports_agree(report, laplace_report_batch(g, count, 13, SHARD_SIZE), 1e-12)
+    lines, conditioning = report
+    if count == 1:
+        assert all(line["std_error"] == 0.0 for line in lines + [conditioning] if line)
+
+
+def test_laplace_report_independent_of_worker_count(monkeypatch):
+    g = _report_covariance(8)
+    count = 2 * SHARD_SIZE + 7
+    monkeypatch.setattr(mcverify, "worker_count", lambda: 1)
+    serial = laplace_report(g, count, 3)
+    monkeypatch.setattr(mcverify, "worker_count", lambda: 4)
+    assert laplace_report(g, count, 3) == serial
+
+
+def test_laplace_report_holds_no_draw_array(monkeypatch):
+    monkeypatch.setattr(mcverify, "worker_count", lambda: 1)
+    count = 1_000_000
+    tracemalloc.start()
+    try:
+        laplace_report(np.eye(3), count, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * count * 3 * 8
