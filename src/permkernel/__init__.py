@@ -65,7 +65,6 @@ from .permanent import (
     GammaScan,
     PositivityScan,
     VJReport,
-    cycle_polynomial,
     default_gamma_grid,
     is_b_positive_definite,
     per_b,

@@ -10,7 +10,8 @@ reports go to stdout as text or a single JSON document.
 Exit codes: 0 analysis completed (verdicts are data, not errors), 1 input,
 parse or usage failure, a draw count too large to allocate, or a stdout
 closed before the report was written, 2 numerical failure (every grid point
-unusable, or an overflow).
+unusable, an overflow such as a b-permanent beyond double precision, or a
+Monte Carlo conditioning denominator that underflows to 0).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .gallery import reproduce_paper
 from .matcore import DEFAULT_TOL, Tolerance
 from .matrixio import load_matrix
 from .mcverify import MC_B, laplace_report
-from .permanent import per_b, vere_jones_check
+from .permanent import MAX_POSITIVITY_ORDER, per_b, vere_jones_check
 from .reductions import reduce_scan
 
 
@@ -169,7 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = add_matrix_command(name, summary, exponent=True)
         p.add_argument("--gamma-grid", type=_parse_grid, default=None)
-        p.add_argument("--max-order", type=int, default=5, choices=range(2, 9))
+        p.add_argument(
+            "--max-order", type=int, default=5, choices=range(2, MAX_POSITIVITY_ORDER + 1)
+        )
 
     add_matrix_command("permanent", "cycle-weighted permanent of the input", exponent=True)
 
@@ -211,8 +214,8 @@ def main(argv=None) -> int:
     except (MatrixError, ValueError, MemoryError) as exc:
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return 1
-    except OverflowError as exc:
-        print(f"numerical failure in {args.command}: overflow: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        print(f"numerical failure in {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return code
 

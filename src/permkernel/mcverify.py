@@ -187,12 +187,19 @@ class _Moments:
     def estimate(self, num: int, den: int | None = None) -> LTEstimate:
         """Mean of column `num`, or with `den` the ratio of the means of
         columns num and den (standard error by the delta method for a ratio
-        of correlated means). One draw has zero scatter, so zero error."""
+        of correlated means). One draw has zero scatter, so zero error.
+        A `den` mean of 0 raises ZeroDivisionError; the only `den` column
+        is the conditioning denominator."""
         cov = self.scatter / max(self.count - 1, 1)
         value = float(self.mean[num])
         var = cov[num, num]
         if den is not None:
             mean_den = float(self.mean[den])
+            if mean_den == 0.0:
+                raise ZeroDivisionError(
+                    "the conditioning denominator, the mean of exp(-sigma psi_n / 2), "
+                    "underflows to 0"
+                )
             value /= mean_den
             var = (var - 2.0 * value * cov[num, den] + value * value * cov[den, den]) / (
                 mean_den * mean_den

@@ -33,9 +33,6 @@ from .matcore import (
 
 MAX_PERMANENT_DIM = 12
 MAX_POSITIVITY_ORDER = 8
-# (set, block) pairs handled per numpy step of the partition recurrence;
-# bounds its scratch memory to about 200 kB
-PAIR_CHUNK = 1024
 
 
 def _subset_tables(m: int):
@@ -71,56 +68,36 @@ def _cycle_weights(a: np.ndarray, bits, pop, low) -> np.ndarray:
     return weight
 
 
-def cycle_polynomial(a) -> np.ndarray:
-    """Coefficients of per_b(A) as a polynomial in b.
+def per_b(a, b: float) -> float:
+    """Permutation sum sum_tau b^(cycles of tau) * prod_i A[i, tau(i)].
 
-    Entry c of the returned length-(m+1) array is the sum, over all
-    permutations with exactly c cycles, of the corresponding entry products.
     A permutation is a partition of the indices into cycles, so with the
-    Held-Karp cycle weights C[T], poly[S] = sum over blocks T of S that
-    contain min(S) of b * C[T] * poly[S - T]. Only sets without index 1
-    and the full set are needed; blocks with C[T] = 0 are skipped.
+    Held-Karp cycle weights C[T], f[S] = sum over blocks T of S that
+    contain min(S) of b * C[T] * f[S - T], and per_b(A) = f[all indices].
+    Only sets without index 1 and the full set are needed. Raises
+    OverflowError when the sum is not finite in double precision.
     """
     a = as_matrix(a)
     m = a.shape[0]
     if m > MAX_PERMANENT_DIM:
-        raise DimensionTooLarge(f"cycle polynomials are capped at m = {MAX_PERMANENT_DIM}")
+        raise DimensionTooLarge(f"b-permanents are capped at m = {MAX_PERMANENT_DIM}")
     bits, pop, low = _subset_tables(m)
-    weight = _cycle_weights(a, bits, pop, low)
     full = (1 << m) - 1
-    poly = np.zeros((1 << m, m + 1))
-    poly[0, 0] = 1.0
-    for k in range(1, m + 1):
-        layer = np.flatnonzero(pop == k)
-        layer = layer[((layer & 1) == 0) | (layer == full)]
-        half = 1 << (k - 1)
-        patterns = bits[:half, : k - 1].T
-        step = max(1, PAIR_CHUNK // half)
-        for lo in range(0, len(layer), step):
-            s = layer[lo : lo + step]
+    f = np.zeros(1 << m)
+    f[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = b * _cycle_weights(a, bits, pop, low)
+        for k in range(1, m + 1):
+            s = np.flatnonzero(pop == k)
+            s = s[((s & 1) == 0) | (s == full)]
             head = 1 << low[s]
             rest = s ^ head
             pos = np.nonzero(bits[rest])[1].reshape(len(s), k - 1)
-            sub = (1 << pos) @ patterns
-            w = weight[sub | head[:, None]]
-            remainder = rest[:, None] ^ sub
-            i, j = np.nonzero(w != 0.0)
-            if i.size == 0:
-                continue
-            terms = w[i, j, None] * poly[remainder[i, j], :m]
-            starts = np.flatnonzero(np.diff(i, prepend=-1))
-            targets = s[i[starts]]
-            poly[targets, 1:] = np.add.reduceat(terms, starts, axis=0)
-    return poly[full]
-
-
-def per_b(a, b: float) -> float:
-    """Permutation sum sum_tau b^(cycles of tau) * prod_i A[i, tau(i)]."""
-    coeffs = cycle_polynomial(a)
-    total = 0.0
-    for c in coeffs[::-1]:
-        total = total * b + c
-    return float(total)
+            sub = (1 << pos) @ bits[: 1 << (k - 1), : k - 1].T
+            f[s] = (weight[sub | head[:, None]] * f[rest[:, None] ^ sub]).sum(axis=1)
+    if not np.isfinite(f[full]):
+        raise OverflowError(f"per_b of this {m}x{m} matrix is not finite in double precision")
+    return float(f[full])
 
 
 def repeated_matrix(a, selection) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -307,3 +308,32 @@ def test_overflow_is_a_one_line_numerical_failure(tmp_path, capsys):
     assert code == 2
     assert err.startswith("numerical failure in vere-jones")
     assert err.count("\n") == 1
+
+
+def test_permanent_overflow_is_a_one_line_numerical_failure(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("1e160,1e160\n1e160,1e160\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["permanent", "--input", str(path), "--b", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure in permanent: OverflowError")
+    assert captured.err.count("\n") == 1
+    assert not caught
+
+
+def test_mc_verify_underflowed_denominator_is_a_one_line_numerical_failure(tmp_path, capsys):
+    # every conditioning denominator exp(-sigma psi_n / 2) underflows to 0
+    path = write_fixture(tmp_path, [[1e12, 2e11], [2e11, 1e12]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["mc-verify", "--input", path, "--mc-count", "1000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure in mc-verify: ZeroDivisionError")
+    assert "exp(-sigma psi_n / 2)" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not caught

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from permkernel import (
     DimensionTooLarge,
     IndexOutOfRange,
-    cycle_polynomial,
     default_gamma_grid,
     is_b_positive_definite,
     per_b,
@@ -77,6 +77,12 @@ def test_per_b_matches_bruteforce_at_generic_exponent():
         assert per_b(a, b) == pytest.approx(
             per_b_bruteforce(a, b), rel=1e-10, abs=1e-10
         )
+    # nonnegative entries make every term, so per_b at b > 0, nonnegative
+    nonneg = np.random.default_rng(4).uniform(0.0, 1.0, (4, 4))
+    for b in (0.25, 0.7, 1.0, 1.7):
+        value = per_b(nonneg, b)
+        assert value >= 0.0
+        assert value == pytest.approx(per_b_bruteforce(nonneg, b), rel=1e-10)
 
 
 def test_per_b_zero_pruning_handles_sparse_rows():
@@ -94,17 +100,6 @@ def test_per_b_relabeling_invariance():
         p = np.eye(m)[perm]
         b = rng.uniform(0.1, 2.0)
         assert per_b(p @ a @ p.T, b) == pytest.approx(per_b(a, b), rel=1e-10)
-
-
-def test_cycle_polynomial_shape_and_positivity():
-    rng = np.random.default_rng(4)
-    a = rng.uniform(0.0, 1.0, (4, 4))
-    coeffs = cycle_polynomial(a)
-    assert coeffs.shape == (5,)
-    assert coeffs[0] == 0.0
-    # nonnegative entries make every coefficient (and per_b at b > 0) nonnegative
-    assert np.all(coeffs >= 0.0)
-    assert per_b(a, 0.7) >= 0.0
 
 
 @pytest.mark.parametrize("m", [10, 11, 12])
@@ -128,6 +123,19 @@ def test_per_b_zero_row_is_exactly_zero():
     a[5] = 0.0
     for b in (-1.0, 0.5, 1.0):
         assert per_b(a, b) == 0.0
+
+
+def test_per_b_scratch_memory_at_the_dimension_cap():
+    a = np.random.default_rng(7).uniform(-1.0, 1.0, (12, 12))
+    per_b(a, 0.5)  # warm numpy's caches so that only per_b's arrays count
+    tracemalloc.start()
+    try:
+        per_b(a, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the recurrence never holds all 3^12 (set, block) pairs at once
+    assert peak <= 2 * 1024 * 1024
 
 
 def test_per_b_dimension_cap():
