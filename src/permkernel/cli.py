@@ -5,7 +5,10 @@ Subcommands: classify, vere-jones, permanent, reduce-scan
 (`reductions.reduce_scan`), mc-verify (`mcverify.laplace_report`), and
 reproduce-paper (`gallery.reproduce_paper`, one pass/fail line per
 reference check). Matrices are read from JSON or headerless CSV files;
-reports go to stdout as text or a single JSON document.
+reports go to stdout as text or as one JSON document on one line with
+sorted keys (`python -m json.tool` indents it). The parser is built on
+first use and shared by every later call of `main`, so its defaults are
+immutable (the `--sigma-grid` default is a tuple).
 
 Exit codes: 0 analysis completed (verdicts are data, not errors), 1 input,
 parse or usage failure, a draw count too large to allocate, or a stdout
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -115,7 +119,7 @@ def _format_text(report: dict, lines: list[str], prefix: str = "") -> None:
 
 def emit(report: dict, output: str) -> str:
     if output == "json":
-        return json.dumps(report, indent=2, sort_keys=True)
+        return json.dumps(report, sort_keys=True)
     lines: list[str] = []
     if report.get("command") == "reproduce-paper":
         for group in report["groups"]:
@@ -138,6 +142,7 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permkernel",
@@ -179,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_matrix_command(
         "reduce-scan", "conditioning/breakpoint scan over pivots", exponent=False
     )
-    p.add_argument("--sigma-grid", type=_parse_grid, default=[0.1, 0.5, 1.0, 2.0, 10.0])
+    p.add_argument("--sigma-grid", type=_parse_grid, default=(0.1, 0.5, 1.0, 2.0, 10.0))
 
     add_monte_carlo(
         add_matrix_command(

@@ -11,7 +11,7 @@ import numpy as np
 
 import permkernel
 from permkernel import mcverify
-from permkernel.cli import main
+from permkernel.cli import build_parser, main, run
 from permkernel.gallery import blockwise_inverse_m, laplace_demo_covariance, reproduce_paper
 from permkernel.matrixio import matrix_to_json
 
@@ -84,6 +84,44 @@ def test_classify_is_byte_stable(tmp_path, capsys):
     _, first = run_cli(capsys, *args)
     _, second = run_cli(capsys, *args)
     assert first == second
+
+
+def test_json_report_is_one_line_and_the_same_document_as_indented(tmp_path, capsys):
+    path = write_fixture(tmp_path, blockwise_inverse_m())
+    covariance = write_fixture(tmp_path, laplace_demo_covariance(), "c.json")
+    for argv in (
+        ["classify", "--input", path, "--gamma-grid", "0.5,2", "--max-order", "3"],
+        ["permanent", "--input", path, "--b", "1.5"],
+        ["reduce-scan", "--input", path],
+        ["mc-verify", "--input", covariance, "--mc-count", "2000", "--seed", "3"],
+    ):
+        argv.append("--deterministic")
+        _, first = run_cli(capsys, *argv)
+        _, second = run_cli(capsys, *argv)
+        assert first == second
+        assert first.endswith("\n") and first.count("\n") == 1
+        assert first == json.dumps(json.loads(first), sort_keys=True) + "\n"
+        _, report = run(build_parser().parse_args(argv))
+        assert json.loads(first) == json.loads(json.dumps(report, indent=2, sort_keys=True))
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    path = write_fixture(tmp_path, blockwise_inverse_m())
+    calls = [
+        ("reduce-scan", "--input", path, "--sigma-grid", "1"),
+        ("reduce-scan", "--input", path),
+        ("classify", "--input", path, "--b", "2"),
+        ("classify", "--input", path),
+    ]
+
+    def outputs(order):
+        return {argv: run_cli(capsys, *argv, "--deterministic") for argv in order}
+
+    forward, backward = outputs(calls), outputs(calls[::-1])
+    assert forward == backward
+    assert json.loads(forward[calls[1]][1])["sigma_grid"] == [0.1, 0.5, 1.0, 2.0, 10.0]
+    assert json.loads(forward[calls[3]][1])["b"] == 0.5
 
 
 def test_permanent_identity_csv(tmp_path, capsys):

@@ -7,7 +7,9 @@ relative 1e-12 so that a different BLAS cannot break the lock. The text
 table is compared byte for byte.
 
 `python3 tests/test_golden.py` rewrites every golden file from the current
-code; run it only when a change of output is intended.
+code; run it only when a change of output is intended. The CLI writes JSON
+on one line; the recorder indents it (two spaces, sorted keys) so that a
+re-recorded file diffs line by line. The text table is written verbatim.
 """
 
 import contextlib
@@ -113,5 +115,7 @@ if __name__ == "__main__":
             code, text = run_case(case, Path(scratch))
             if code != 0:
                 sys.exit(f"{case}: exit code {code}")
+            if case.endswith(".json"):
+                text = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
             (GOLDEN / case).write_text(text)
             print(f"wrote {case}", file=sys.stderr)
