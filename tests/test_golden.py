@@ -44,6 +44,15 @@ CASES = {
         for command in ("classify", "permanent", "reduce-scan")
     },
     **{
+        f"vere-jones-{name}.json": (name, ("vere-jones", "--max-order", "8"))
+        for name in MATRICES_4X4
+    },
+    # fails at gamma 3.3 with witness (2, 3, 4); the other two gammas pass
+    "vere-jones-tripletwise_divisible_covariance-mixed-grid.json": (
+        "tripletwise_divisible_covariance",
+        ("vere-jones", "--b", "0.001", "--gamma-grid", "0.01,3.3,100", "--max-order", "8"),
+    ),
+    **{
         f"mc-verify-{name}.json": (name, ("mc-verify", *MC_ARGS))
         for name in ("laplace_demo_covariance", "tripletwise_divisible_covariance")
     },
