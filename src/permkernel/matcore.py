@@ -5,6 +5,7 @@ are capped at n = 16."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -99,6 +100,21 @@ def inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.inv(a)
 
 
+def _resolvents(g: np.ndarray, sigmas, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Tilted kernels (I + sigma*G)^{-1} G for a sequence of sigmas at once.
+
+    Returns (poles, tilted): poles[i] is True when I + sigma_i*G is
+    numerically singular, |det| <= zero_tol * max(1, max|I + sigma_i*G|),
+    and tilted stacks the kernels of the other sigmas in order. One batched
+    determinant and one batched solve serve the whole sequence.
+    """
+    m = np.eye(g.shape[0]) + np.asarray(sigmas, dtype=float)[:, None, None] * g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dets = np.linalg.det(m)
+    poles = np.abs(dets) <= tol.zero_tol * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    return poles, np.linalg.solve(m[~poles], g)
+
+
 def resolvent(g, sigma: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """G_sigma = (I + sigma*G)^{-1} G, the exponentially tilted kernel.
 
@@ -108,10 +124,10 @@ def resolvent(g, sigma: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     g = as_matrix(g)
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
-    m = np.eye(g.shape[0]) + sigma * g
-    if abs(det(m)) <= tol.zero_tol * scale_of(m):
+    poles, tilted = _resolvents(g, [sigma], tol)
+    if poles[0]:
         raise SingularMatrix(f"I + {sigma}*G is numerically singular")
-    return np.linalg.solve(m, g)
+    return tilted[0]
 
 
 def principal_submatrix(a, idx) -> np.ndarray:
@@ -143,6 +159,25 @@ def signature_conjugate(a, signs) -> np.ndarray:
     return a * np.outer(s, s)
 
 
+@functools.lru_cache(maxsize=64)
+def subset_table(n: int, m: int) -> np.ndarray:
+    """The C(n, m) 0-based subsets of size m of range(n), in combinations
+    order, as a read-only (C, m) array; built once per (n, m)."""
+    subsets = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp).reshape(-1, m)
+    subsets.flags.writeable = False
+    return subsets
+
+
+def _minors_of_size(a: np.ndarray, m: int) -> np.ndarray:
+    """The size-m principal minors of a stack (..., n, n), shape (..., C),
+    in subset_table order, with one batched determinant over the whole
+    stack."""
+    z = subset_table(a.shape[-1], m)
+    sub = a[..., z[:, :, None], z[:, None, :]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.linalg.det(sub.reshape(-1, m, m)).reshape(sub.shape[:-2])
+
+
 def _minors(a: np.ndarray, max_size: int | None = None):
     """Yield (size, subsets, minors) for each subset size up to max_size,
     smallest first, with one batched determinant per size. Row i of
@@ -156,10 +191,7 @@ def _minors(a: np.ndarray, max_size: int | None = None):
         )
     top = n if max_size is None else min(max_size, n)
     for m in range(1, top + 1):
-        z = np.array(list(itertools.combinations(range(n), m)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            minors = np.linalg.det(a[z[:, :, None], z[:, None, :]])
-        yield m, z, minors
+        yield m, subset_table(n, m), _minors_of_size(a, m)
 
 
 def principal_minors(a) -> dict:
@@ -195,6 +227,20 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     return True
 
 
+def _positivity_signatures(a: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The find_positivity_signature candidate of each matrix of a stack
+    (..., n, n), and whether it works: every entry of S A S above
+    zero_tol * max(1, max|A|). That test also rules out a nonpositive
+    diagonal and zero off-diagonal entries (a zero entry gives a zero
+    sign), so it needs no separate check for them.
+    """
+    thr = tol.zero_tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    s = np.ones(a.shape[:-1])
+    s[..., 1:] = np.sign(a[..., 0, 1:])
+    conjugated = a * s[..., :, None] * s[..., None, :]
+    return s, np.all(conjugated > thr[..., None, None], axis=(-2, -1))
+
+
 def find_positivity_signature(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     """Signature S with S_i A_ij S_j > 0 for all i, j, or None.
 
@@ -203,16 +249,5 @@ def find_positivity_signature(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | N
     when one exists. Requires a strictly positive diagonal and no zero
     off-diagonal entry; otherwise no full positive pattern is reachable.
     """
-    a = as_matrix(a)
-    n = a.shape[0]
-    thr = tol.zero_tol * scale_of(a)
-    if np.any(np.diag(a) <= thr):
-        return None
-    off = ~np.eye(n, dtype=bool)
-    if np.any(np.abs(a[off]) <= thr):
-        return None
-    s = np.ones(n)
-    s[1:] = np.sign(a[0, 1:])
-    if np.all(signature_conjugate(a, s) > thr):
-        return s
-    return None
+    s, works = _positivity_signatures(as_matrix(a), tol)
+    return s if works else None

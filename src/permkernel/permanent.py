@@ -20,15 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionTooLarge, IndexOutOfRange, SingularMatrix
+from .errors import DimensionTooLarge, IndexOutOfRange
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
-    _minors,
+    _minors_of_size,
+    _positivity_signatures,
+    _resolvents,
     as_matrix,
-    find_positivity_signature,
-    resolvent,
     scale_of,
+    subset_table,
 )
 
 MAX_PERMANENT_DIM = 12
@@ -156,7 +157,7 @@ def _scan_level(n: int, d: int):
     factorials = np.array([math.factorial(c) for c in range(d + 1)], dtype=float)
     plan = []
     for s in range(1, min(n, d) + 1):
-        subsets = np.array(list(itertools.combinations(range(n), s)), dtype=np.intp)
+        subsets = subset_table(n, s)
         sources = _multisets(n, d - s)
         shape = (len(sources), len(subsets))
         merged = np.concatenate(
@@ -171,6 +172,77 @@ def _scan_level(n: int, d: int):
         plan.append((np.searchsorted(values, (merged @ place).ravel()), subset, source))
     selections = [tuple(k) for k in (own + 1).tolist()]
     return selections, factorials[counts].prod(axis=1), tuple(plan)
+
+
+def _plan_pairs(n: int, d: int) -> int:
+    """Number of (subset, multiset) pairs in the plan of level d."""
+    return sum(math.comb(n, s) * math.comb(n + d - s - 1, d - s) for s in range(1, min(n, d) + 1))
+
+
+def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Tolerance) -> list:
+    """The level recurrence of is_b_positive_definite on a (k, n, n) stack
+    of matrices; one PositivityScan per matrix, in stack order.
+
+    Each level takes one batched determinant for the minors of all live
+    matrices and one bincount per plan entry, with matrix j's bins at
+    j * (multisets of the level) + target. Every bin sums its terms in the
+    same order as for one matrix alone, so the values do not depend on the
+    stack. A matrix whose level has a value below its threshold leaves the
+    stack with the first such multiset as its witness, and no larger
+    minors of it are computed. At most 2^16 // (pairs in the top level's
+    plan) matrices are stacked, so that a gather holds about 2^16 entries
+    or one matrix's plan: a small plan takes a whole gamma grid, an
+    order-8 scan at n = 8 one matrix at a time.
+    """
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
+    if max_order > MAX_POSITIVITY_ORDER:
+        raise DimensionTooLarge(
+            f"multiset scan is capped at order {MAX_POSITIVITY_ORDER}"
+        )
+    n = stack.shape[-1]
+    width = max(1, 2**16 // _plan_pairs(n, max_order))
+    if len(stack) > width:
+        return [
+            scan
+            for start in range(0, len(stack), width)
+            for scan in _positivity_scans(stack[start : start + width], b, max_order, tol)
+        ]
+    scans = [PositivityScan(True, max_order)] * len(stack)
+    live = np.arange(len(stack))
+    amax = np.maximum(1.0, np.abs(stack).max(axis=(1, 2))).tolist()
+    signed = [None]  # signed[s][j, i]: D_S of matrix j for the i-th size-s subset S
+    levels = [np.ones((len(stack), 1))]  # levels[d][j, i]: f_k of matrix j, i-th size-d multiset k
+    for d in range(1, max_order + 1):
+        if not live.size:
+            break
+        # Python floats raise OverflowError where numpy's power would give inf
+        threshold = np.array([tol.zero_tol * amax[j] ** d for j in live])
+        if d <= n:
+            signed.append((-1.0) ** d * _minors_of_size(stack, d))
+        selections, factorials, plan = _scan_level(n, d)
+        total = np.zeros((live.size, len(selections)))
+        bins = np.arange(live.size)[:, None] * len(selections)
+        for s, (target, subset, source) in enumerate(plan, start=1):
+            weights = signed[s].take(subset, axis=1) * levels[d - s].take(source, axis=1)
+            sums = np.bincount((bins + target).ravel(), weights.ravel(), total.size)
+            total += (d - s + b * s) * sums.reshape(total.shape)
+        f = -total / d
+        values = factorials * f
+        bad = values < -threshold[:, None]
+        levels.append(f)
+        failed = bad.any(axis=1)
+        if failed.any():
+            for row in np.flatnonzero(failed):
+                i = int(bad[row].argmax())
+                scans[live[row]] = PositivityScan(
+                    False, max_order, witness=selections[i], value=float(values[row, i])
+                )
+            keep = ~failed
+            live, stack = live[keep], stack[keep]
+            signed = [None] + [x[keep] for x in signed[1:]]
+            levels = [x[keep] for x in levels]
+    return scans
 
 
 def is_b_positive_definite(
@@ -189,40 +261,10 @@ def is_b_positive_definite(
     turn, each multiset in itertools.combinations_with_replacement order,
     one nondecreasing representative per multiset (per_b is invariant under
     simultaneous relabeling). The first value below -zero_tol * scale^d is
-    returned as the witness.
+    returned as the witness. This is the one-matrix case of the stacked
+    scan that vere_jones_check runs over its gamma grid.
     """
-    a = as_matrix(a)
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
-    if max_order > MAX_POSITIVITY_ORDER:
-        raise DimensionTooLarge(
-            f"multiset scan is capped at order {MAX_POSITIVITY_ORDER}"
-        )
-    n = a.shape[0]
-    amax = scale_of(a)
-    minors = _minors(a, max_size=max_order)
-    signed = [None]  # signed[s][i]: D_S for the i-th size-s subset S
-    levels = [np.ones(1)]  # levels[d][i]: f_k for the i-th size-d multiset k
-    for d in range(1, max_order + 1):
-        threshold = tol.zero_tol * amax**d
-        if d <= n:
-            _, _, dets = next(minors)
-            signed.append((-1.0) ** d * dets)
-        selections, factorials, plan = _scan_level(n, d)
-        total = np.zeros(len(selections))
-        for s, (target, subset, source) in enumerate(plan, start=1):
-            weights = signed[s][subset] * levels[d - s][source]
-            total += (d - s + b * s) * np.bincount(target, weights, len(selections))
-        f = -total / d
-        values = factorials * f
-        bad = np.flatnonzero(values < -threshold)
-        if bad.size:
-            i = bad[0]
-            return PositivityScan(
-                False, max_order, witness=selections[i], value=float(values[i])
-            )
-        levels.append(f)
-    return PositivityScan(True, max_order)
+    return _positivity_scans(as_matrix(a)[None], b, max_order, tol)[0]
 
 
 def default_gamma_grid() -> list[float]:
@@ -296,6 +338,13 @@ def vere_jones_check(
     the tilted kernel certifies a pass at every order; without one, the
     bounded multiset scan runs. Gammas at resolvent poles are skipped with a
     note.
+
+    Condition (II) runs on the whole grid at once: one batched determinant
+    finds the poles, one batched solve tilts the kernel at the other
+    gammas, and one signature test covers that stack. The uncertified
+    gammas are then scanned together, level by level, and a gamma leaves
+    the stack at its first failing level. Every value is the one that
+    is_b_positive_definite gives for that gamma's tilted kernel alone.
     """
     g = as_matrix(g)
     if b <= 0.0:
@@ -313,31 +362,24 @@ def vere_jones_check(
     )
     condition_i = all(ev >= -tol.zero_tol * s for ev in real)
 
+    poles, tilted = _resolvents(g, grid, tol)
+    if not np.all(np.isfinite(tilted)):
+        raise ValueError("matrix entries must be finite")
+    _, certified = _positivity_signatures(tilted, tol)
+    # a signature S makes S A S entrywise positive, so every term of every
+    # per_b of a repeated submatrix is positive: the scan cannot fail
+    results = iter(_positivity_scans(tilted[~certified], b, max_order, tol))
+    marks = iter(certified)
     scans = []
-    for gamma in grid:
-        try:
-            tilted = resolvent(g, gamma, tol)
-        except SingularMatrix:
+    for gamma, pole in zip(grid, poles):
+        if pole:
             scans.append(GammaScan(gamma, "skipped", note="resolvent pole"))
-            continue
-        if find_positivity_signature(tilted, tol) is not None:
-            # S A S is entrywise positive, so every term of every per_b of a
-            # repeated submatrix is positive: the scan cannot fail
+        elif next(marks):
             scans.append(GammaScan(gamma, "pass", signature_certificate=True))
-            continue
-        result = is_b_positive_definite(tilted, b, max_order, tol)
-        if result.passed:
-            scans.append(GammaScan(gamma, "pass"))
         else:
-            scans.append(
-                GammaScan(
-                    gamma,
-                    "fail",
-                    signature_certificate=False,
-                    witness=result.witness,
-                    value=result.value,
-                )
-            )
+            result = next(results)
+            status = "pass" if result.passed else "fail"
+            scans.append(GammaScan(gamma, status, witness=result.witness, value=result.value))
 
     if not condition_i or any(scan.status == "fail" for scan in scans):
         overall = "fail"

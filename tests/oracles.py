@@ -6,13 +6,24 @@ Ryser's formula where the dimension is too large for them), a
 power-series recursion for the closed-form transform, and triple-by-triple
 loops for symmetrizability and the conditioning scan, and one whole-array
 pass per line for the Monte Carlo report. Slow and only usable for tiny
-matrices, which is the point.
+matrices, which is the point. The one exception is the per-gamma route of
+the Vere-Jones check: it calls the library's one-matrix functions gamma by
+gamma, so that the stacked grid can be compared with it bit for bit.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from permkernel import (
+    DEFAULT_TOL,
+    SingularMatrix,
+    find_positivity_signature,
+    is_b_positive_definite,
+    resolvent,
+)
+from permkernel.permanent import GammaScan, VJReport
 
 
 def det_cofactor(a) -> float:
@@ -99,6 +110,40 @@ def positivity_scan_bruteforce(a, b: float, max_order: int, zero_tol: float = 1e
             if value < -zero_tol * amax**m:
                 return False, sel, value
     return True, None, None
+
+
+def vere_jones_per_gamma(g, b: float, grid, max_order: int, tol=DEFAULT_TOL):
+    """`vere_jones_check` one gamma at a time: a resolvent, then the
+    signature certificate, then the scan of that gamma's tilted kernel
+    alone. Returns the same VJReport."""
+    g = np.asarray(g, dtype=float)
+    s = max(1.0, float(np.abs(g).max()))
+    real = sorted(
+        float(ev.real) for ev in np.linalg.eigvals(g) if abs(ev.imag) <= tol.zero_tol * s
+    )
+    condition_i = all(ev >= -tol.zero_tol * s for ev in real)
+    scans = []
+    for gamma in grid:
+        try:
+            tilted = resolvent(g, gamma, tol)
+        except SingularMatrix:
+            scans.append(GammaScan(gamma, "skipped", note="resolvent pole"))
+            continue
+        if find_positivity_signature(tilted, tol) is not None:
+            scans.append(GammaScan(gamma, "pass", signature_certificate=True))
+            continue
+        result = is_b_positive_definite(tilted, b, max_order, tol)
+        if result.passed:
+            scans.append(GammaScan(gamma, "pass"))
+        else:
+            scans.append(GammaScan(gamma, "fail", witness=result.witness, value=result.value))
+    if not condition_i or any(scan.status == "fail" for scan in scans):
+        overall = "fail"
+    elif all(scan.status == "pass" and scan.signature_certificate for scan in scans):
+        overall = "pass"
+    else:
+        overall = "inconclusive"
+    return VJReport(b, max_order, condition_i, tuple(real), tuple(scans), overall)
 
 
 def permanent_ryser(a) -> tuple:

@@ -1,6 +1,7 @@
 """Tests for cycle-weighted permanents and the positivity scans."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -26,6 +27,7 @@ from oracles import (
     permanent_bruteforce,
     permanent_ryser,
     positivity_scan_bruteforce,
+    vere_jones_per_gamma,
 )
 
 # symmetric PSD (a Gram matrix) whose tilted kernel genuinely violates
@@ -302,23 +304,127 @@ def test_vere_jones_skips_poles():
         vere_jones_check(np.eye(2), -0.5)
 
 
-def test_vere_jones_certificate_skips_the_scan(monkeypatch):
-    def no_scan(*args, **kwargs):
-        raise AssertionError("a certified gamma must not be scanned")
+def _count_det_calls(monkeypatch) -> list:
+    shapes = []
+    batched_det = np.linalg.det
 
-    monkeypatch.setattr(permanent, "is_b_positive_definite", no_scan)
+    def counting_det(x):
+        shapes.append(np.shape(x))
+        return batched_det(x)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    return shapes
+
+
+def test_vere_jones_certificate_skips_the_scan(monkeypatch):
+    shapes = _count_det_calls(monkeypatch)
     rng = np.random.default_rng(8)
     off = rng.uniform(0.1, 1.0, (4, 4))
     np.fill_diagonal(off, 0.0)
     inv_m = np.linalg.inv(1.3 * max(abs(np.linalg.eigvals(off))) * np.eye(4) - off)
     signed_inv_m = inv_m * np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
     for g in (gallery.one_symmetrizable_triple(), signed_inv_m):
+        shapes.clear()
         report = vere_jones_check(g, 0.5)
         assert report.overall == "pass"
         assert all(
             scan.status == "pass" and scan.signature_certificate
             for scan in report.gamma_scans
         )
+        # the pole test of the whole grid, and no minors
+        assert shapes == [(16, 4, 4)]
+    # 7 of the 16 gammas carry no certificate: only they are scanned, with
+    # C(4, d) minors each at level d
+    shapes.clear()
+    report = vere_jones_check(gallery.tripletwise_divisible_covariance(), 0.5)
+    assert sum(not scan.signature_certificate for scan in report.gamma_scans) == 7
+    assert [shape[0] for shape in shapes] == [16] + [7 * math.comb(4, d) for d in range(1, 5)]
+
+
+def test_vere_jones_failed_gamma_leaves_the_stack(monkeypatch):
+    shapes = _count_det_calls(monkeypatch)
+    report = vere_jones_check(
+        gallery.tripletwise_divisible_covariance(),
+        0.001,
+        gamma_grid=(0.01, 3.3, 100.0),
+        max_order=8,
+    )
+    assert [scan.status for scan in report.gamma_scans] == ["pass", "fail", "pass"]
+    assert report.gamma_scans[0].signature_certificate
+    assert report.gamma_scans[1].witness == (2, 3, 4)
+    # gammas 3.3 and 100 are scanned up to level 3, where 3.3 fails; the
+    # 4x4 minor is then taken of gamma 100 alone
+    assert shapes == [(3, 4, 4), (2 * 4, 1, 1), (2 * 6, 2, 2), (2 * 4, 3, 3), (1, 4, 4)]
+
+
+def test_vere_jones_scan_threshold_overflow_raises():
+    # the order-2 threshold zero_tol * (1e160)^2 is not a double: a silent
+    # inf would pass every value
+    with pytest.raises(OverflowError):
+        vere_jones_check([[1e160, -1e160], [1e160, 1e160]], 0.5, gamma_grid=[1e-300])
+
+
+def test_vere_jones_scratch_memory_at_the_order_cap():
+    rng = np.random.default_rng(3)
+    g = rng.uniform(-1.0, 1.0, (8, 8))
+    np.fill_diagonal(g, rng.uniform(4.0, 16.0, 8))
+    report = vere_jones_check(g, 0.5, max_order=8)  # warm the index plans
+    assert not any(scan.signature_certificate for scan in report.gamma_scans)
+    tracemalloc.start()
+    try:
+        vere_jones_check(g, 0.5, max_order=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an order-8 plan at n = 8 has over 2^16 pairs, so the 16 uncertified
+    # gammas are scanned one at a time, not as one stack
+    assert peak <= 2 * 1024 * 1024
+
+
+def _grid_case(rng, kind: str, n: int):
+    """A kernel candidate and gamma grid of the given kind."""
+    if kind == "pole":
+        # -1/0.5 is an eigenvalue, so gamma 0.5 is a resolvent pole
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigenvalues = rng.uniform(0.5, 2.0, n)
+        eigenvalues[0] = -2.0
+        return q @ np.diag(eigenvalues) @ q.T, (0.1, 0.5, 1.0, 3.0)
+    if kind == "positive":
+        return rng.uniform(0.1, 1.0, (n, n)) + np.eye(n), None
+    g = rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "heavy":
+        # positive diagonals push violations past order 1
+        np.fill_diagonal(g, rng.uniform(0.5, 2.0, n) * n)
+    return g, None
+
+
+def test_stacked_grid_matches_the_per_gamma_route():
+    rng = np.random.default_rng(18)
+    statuses = set()
+    fail_levels = set()
+    chunked = 0
+    for trial in range(120):
+        n = 2 + trial % 5
+        order = 2 + trial % 7
+        b = (0.25, 0.5, 2.0)[trial % 3]
+        g, grid = _grid_case(rng, ("pole", "positive", "signed", "heavy")[trial // 5 % 4], n)
+        got = vere_jones_check(g, b, gamma_grid=grid, max_order=order)
+        want = vere_jones_per_gamma(g, b, grid or default_gamma_grid(), order)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        # the stack is cut into pieces of at most this many gammas
+        chunked += 2**16 // permanent._plan_pairs(n, order) < len(got.gamma_scans)
+        for scan in got.gamma_scans:
+            statuses.add((scan.status, scan.signature_certificate))
+            if scan.witness:
+                fail_levels.add(len(scan.witness))
+    assert statuses == {
+        ("skipped", False),
+        ("pass", True),
+        ("pass", False),
+        ("fail", False),
+    }
+    assert fail_levels >= {1, 2, 3, 4}
+    assert chunked
 
 
 def test_vere_jones_inconclusive_without_certificate():
