@@ -36,37 +36,53 @@ MATRICES_4X4 = (
 MC_ARGS = ("--mc-count", "20000", "--seed", "5")
 REPRODUCE_ARGS = ("reproduce-paper", "--mc-count", "20000", "--deterministic")
 
-# golden file name -> (gallery matrix passed as --input, or None; CLI arguments)
+# golden file name -> (gallery matrix passed as --input, or None; CLI
+# arguments; factor the matrix is multiplied by)
 CASES = {
     **{
-        f"{command}-{name}.json": (name, (command,))
+        f"{command}-{name}.json": (name, (command,), 1.0)
         for name in MATRICES_4X4
         for command in ("classify", "permanent", "reduce-scan")
     },
     **{
-        f"vere-jones-{name}.json": (name, ("vere-jones", "--max-order", "8"))
+        f"vere-jones-{name}.json": (name, ("vere-jones", "--max-order", "8"), 1.0)
         for name in MATRICES_4X4
     },
     # fails at gamma 3.3 with witness (2, 3, 4); the other two gammas pass
     "vere-jones-tripletwise_divisible_covariance-mixed-grid.json": (
         "tripletwise_divisible_covariance",
         ("vere-jones", "--b", "0.001", "--gamma-grid", "0.01,3.3,100", "--max-order", "8"),
+        1.0,
+    ),
+    # scaled inputs on which the floor of 1 in the zero thresholds decides
+    # the verdict (ROADMAP item 2): these record today's scale-dependent
+    # behaviour, and a scale-covariant threshold is expected to change them
+    **{
+        f"classify-one_symmetrizable_triple-x{factor}.json": (
+            "one_symmetrizable_triple", ("classify",), float(factor)
+        )
+        for factor in ("1e-4", "1e4")
+    },
+    "classify-blockwise_inverse_m-x1e-8.json": ("blockwise_inverse_m", ("classify",), 1e-8),
+    "vere-jones-blockwise_inverse_m-x1e-4.json": ("blockwise_inverse_m", ("vere-jones",), 1e-4),
+    "reduce-scan-two_symmetrizable_triples-x1e-3.json": (
+        "two_symmetrizable_triples", ("reduce-scan",), 1e-3
     ),
     **{
-        f"mc-verify-{name}.json": (name, ("mc-verify", *MC_ARGS))
+        f"mc-verify-{name}.json": (name, ("mc-verify", *MC_ARGS), 1.0)
         for name in ("laplace_demo_covariance", "tripletwise_divisible_covariance")
     },
-    "reproduce-paper.json": (None, (*REPRODUCE_ARGS, "--format", "json")),
-    "reproduce-paper.txt": (None, REPRODUCE_ARGS),
+    "reproduce-paper.json": (None, (*REPRODUCE_ARGS, "--format", "json"), 1.0),
+    "reproduce-paper.txt": (None, REPRODUCE_ARGS, 1.0),
 }
 
 
 def run_case(name: str, directory: Path) -> tuple[int, str]:
-    matrix, args = CASES[name]
+    matrix, args, factor = CASES[name]
     argv = list(args)
     if matrix is not None:
         path = directory / f"{matrix}.json"
-        path.write_text(matrix_to_json(getattr(gallery, matrix)()))
+        path.write_text(matrix_to_json(factor * getattr(gallery, matrix)()))
         argv[1:1] = ["--input", str(path)]
         argv.append("--deterministic")
     out = io.StringIO()
