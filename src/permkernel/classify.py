@@ -4,7 +4,7 @@ triple test that decides infinite divisibility for dimensions above three."""
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +17,8 @@ from .matcore import (
     close,
     find_positivity_signature,
     inverse,
-    scale_of,
     signature_conjugate,
+    subset_table,
 )
 from .permanent import VJReport, vere_jones_check
 
@@ -40,16 +40,12 @@ THEOREM_NOT_KERNEL = "hypotheses-met-not-kernel"
 THEOREM_NA = "not-applicable"
 
 
-def _zero_threshold(a: np.ndarray, tol: Tolerance) -> float:
-    return tol.zero_tol * scale_of(a)
-
-
 def _nonnegative(a: np.ndarray, tol: Tolerance) -> bool:
-    return bool(a.min() >= -_zero_threshold(a, tol))
+    return bool(a.min() >= -tol.threshold(a))
 
 
 def _off_diagonal_nonpositive(a: np.ndarray, tol: Tolerance) -> bool:
-    return bool((a - np.diag(np.diag(a))).max() <= _zero_threshold(a, tol))
+    return bool((a - np.diag(np.diag(a))).max() <= tol.threshold(a))
 
 
 def _inverse_or_none(a: np.ndarray, tol: Tolerance) -> np.ndarray | None:
@@ -84,22 +80,17 @@ def is_inverse_m_matrix(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _is_inverse_m(a, _inverse_or_none(a, tol), tol)
 
 
-_TRIPLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def triple_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The C(n, 3) 0-based triples i < j < k of an n x n matrix, in
-    combinations order, as an (m, 3) array, and the (9, m) flat positions
-    of their entries in the row order of `three_cycles`; built once per n."""
-    cached = _TRIPLES.get(n)
-    if cached is None:
-        triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
-        i, j, k = triples.T
-        flat = np.stack((i, j, k, j, i, k, i, j, k)) * n + np.stack((j, k, i, i, k, j, i, j, k))
-        for shared in (triples, flat):
-            shared.flags.writeable = False
-        cached = _TRIPLES[n] = (triples, flat)
-    return cached
+    combinations order, as an (m, 3) array (subset_table(n, 3)), and the
+    read-only (9, m) flat positions of their entries in the row order of
+    `three_cycles`; built once per n."""
+    triples = subset_table(n, 3)
+    i, j, k = triples.T
+    flat = np.stack((i, j, k, j, i, k, i, j, k)) * n + np.stack((j, k, i, i, k, j, i, j, k))
+    flat.flags.writeable = False
+    return triples, flat
 
 
 def three_cycles(a: np.ndarray) -> np.ndarray:
@@ -121,14 +112,14 @@ def _symmetrizable(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Boolean mask over the triples of `a`: is the principal submatrix
     symmetrizable.
 
-    Each triple has its own zero threshold zero_tol * max(1, max|block|). A
+    Each triple has its own zero threshold, tol.threshold of its block. A
     zero off-diagonal entry decides True; otherwise the diagonal must be
     nonnegative, opposite entries and the forward 3-cycle must not be
     negative, and the two 3-cycle magnitudes must agree within rel_tol.
     """
     entries = three_cycles(a)
     magnitude = np.abs(entries)
-    thr = tol.zero_tol * np.maximum(1.0, magnitude.max(axis=0))
+    thr = tol.threshold(magnitude, axis=0)
     forward, backward = _cycle_products(entries)
     # sigma K sigma = |K| needs a nonnegative diagonal and positive cycles;
     # rows 3, 5, 4 are (a_ji, a_kj, a_ik), opposite to rows 0, 1, 2
@@ -151,8 +142,7 @@ def is_diag_equiv_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     Zero entries are out of scope here and raise HasZeroEntry.
     """
     a = as_matrix(a)
-    thr = _zero_threshold(a, tol)
-    if np.any(np.abs(a) <= thr):
+    if np.any(np.abs(a) <= tol.threshold(a)):
         raise HasZeroEntry("matrix has a zero entry at tolerance")
     if np.any(a * a.T < 0.0):
         return False
@@ -223,7 +213,7 @@ def willoughby_inequality(g, tol: Tolerance = DEFAULT_TOL) -> bool:
         raise ValueError("willoughby_inequality expects a 3x3 matrix")
     if np.any(g <= 0.0):
         raise ValueError("willoughby_inequality expects positive entries")
-    slack = tol.zero_tol * scale_of(g) ** 2
+    slack = tol.threshold(g, 2)
     # axes (k, i, j): G(i,j) G(k,k) against G(i,k) G(k,j)
     lhs = np.diag(g)[:, None, None] * g[None, :, :]
     rhs = g.T[:, :, None] * g[:, None, :]
@@ -284,7 +274,7 @@ def classify_kernel(
     """
     g = as_matrix(g)
     n = g.shape[0]
-    thr = _zero_threshold(g, tol)
+    thr = tol.threshold(g)
     zero_pattern = tuple(
         (i + 1, j + 1)
         for i in range(n)

@@ -25,9 +25,10 @@ MAX_ENUMERATION_DIM = 16
 class Tolerance:
     """Numeric thresholds.
 
-    zero_tol decides when a value counts as zero (always scaled by the
-    max-norm of the matrix at hand); rel_tol governs relative equality of
-    two quantities.
+    zero_tol decides when a value counts as zero, through `threshold`,
+    which scales it by the max-norm of the matrix at hand (the Monte Carlo
+    input checks scale it without a floor); rel_tol governs relative
+    equality of two quantities (see `close`).
     """
 
     zero_tol: float = 1e-9
@@ -36,6 +37,23 @@ class Tolerance:
     def __post_init__(self):
         if self.zero_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("tolerances must be strictly positive")
+
+    def threshold(self, a, degree: int = 1, axis=None):
+        """zero_tol * max(1, max|a|)^degree: the bound at or below which a
+        quantity of that degree in the entries of `a` (k for a k x k minor)
+        counts as zero. Without `axis`, a Python float, and OverflowError
+        when the power is not a double; with `axis`, one value per matrix
+        of a stack (the max runs over `axis`), and numpy's inf and overflow
+        warning where the power is not a double.
+        """
+        if axis is None:
+            return self.zero_tol * float(np.abs(a).max(initial=1.0)) ** degree
+        scale = np.abs(a).max(axis=axis, initial=1.0)
+        if degree == 1:  # most callers; float_power would cost more than the rest
+            return self.zero_tol * scale
+        # float_power rounds as Python's pow does; np.power and ** take an
+        # integer-exponent path that can differ in the last bit
+        return self.zero_tol * np.float_power(scale, degree)
 
 
 DEFAULT_TOL = Tolerance()
@@ -71,11 +89,6 @@ def as_scaling(diag, n: int | None = None) -> np.ndarray:
     return d
 
 
-def scale_of(a: np.ndarray) -> float:
-    """Max-norm of the matrix with a floor of 1, used to scale thresholds."""
-    return max(1.0, float(np.abs(a).max()))
-
-
 def det(a: np.ndarray) -> float:
     """np.linalg.det without the divide-by-zero warning on singular input."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -95,7 +108,7 @@ def determinant(a) -> float:
 def inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """A^{-1}; raises SingularMatrix when |det A| falls below tolerance."""
     a = as_matrix(a)
-    if abs(det(a)) <= tol.zero_tol * scale_of(a):
+    if abs(det(a)) <= tol.threshold(a):
         raise SingularMatrix("matrix is numerically singular")
     return np.linalg.inv(a)
 
@@ -104,14 +117,14 @@ def _resolvents(g: np.ndarray, sigmas, tol: Tolerance) -> tuple[np.ndarray, np.n
     """Tilted kernels (I + sigma*G)^{-1} G for a sequence of sigmas at once.
 
     Returns (poles, tilted): poles[i] is True when I + sigma_i*G is
-    numerically singular, |det| <= zero_tol * max(1, max|I + sigma_i*G|),
-    and tilted stacks the kernels of the other sigmas in order. One batched
+    numerically singular, |det| <= tol.threshold(I + sigma_i*G), and
+    tilted stacks the kernels of the other sigmas in order. One batched
     determinant and one batched solve serve the whole sequence.
     """
     m = np.eye(g.shape[0]) + np.asarray(sigmas, dtype=float)[:, None, None] * g
     with np.errstate(divide="ignore", invalid="ignore"):
         dets = np.linalg.det(m)
-    poles = np.abs(dets) <= tol.zero_tol * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    poles = np.abs(dets) <= tol.threshold(m, axis=(1, 2))
     return poles, np.linalg.solve(m[~poles], g)
 
 
@@ -216,11 +229,10 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     b = as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    s = max(scale_of(a), scale_of(b))
     for (m, _, ma), (_, _, mb) in zip(_minors(a), _minors(b)):
         # floor absorbs round-off on minors that are tiny relative to the
         # natural determinant scale of the subset size
-        floor = tol.zero_tol * s**m
+        floor = tol.threshold((a, b), m)
         bound = np.maximum(tol.rel_tol * np.maximum(np.abs(ma), np.abs(mb)), floor)
         if not np.all(np.abs(ma - mb) <= bound):
             return False
@@ -230,11 +242,11 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
 def _positivity_signatures(a: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """The find_positivity_signature candidate of each matrix of a stack
     (..., n, n), and whether it works: every entry of S A S above
-    zero_tol * max(1, max|A|). That test also rules out a nonpositive
+    tol.threshold(A). That test also rules out a nonpositive
     diagonal and zero off-diagonal entries (a zero entry gives a zero
     sign), so it needs no separate check for them.
     """
-    thr = tol.zero_tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    thr = tol.threshold(a, axis=(-2, -1))
     s = np.ones(a.shape[:-1])
     s[..., 1:] = np.sign(a[..., 0, 1:])
     conjugated = a * s[..., :, None] * s[..., None, :]

@@ -28,7 +28,6 @@ from .matcore import (
     _positivity_signatures,
     _resolvents,
     as_matrix,
-    scale_of,
     subset_table,
 )
 
@@ -210,14 +209,16 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
         ]
     scans = [PositivityScan(True, max_order)] * len(stack)
     live = np.arange(len(stack))
-    amax = np.maximum(1.0, np.abs(stack).max(axis=(1, 2))).tolist()
     signed = [None]  # signed[s][j, i]: D_S of matrix j for the i-th size-s subset S
     levels = [np.ones((len(stack), 1))]  # levels[d][j, i]: f_k of matrix j, i-th size-d multiset k
     for d in range(1, max_order + 1):
         if not live.size:
             break
-        # Python floats raise OverflowError where numpy's power would give inf
-        threshold = np.array([tol.zero_tol * amax[j] ** d for j in live])
+        with np.errstate(over="ignore"):
+            threshold = tol.threshold(stack, d, axis=(1, 2))
+        if not np.all(np.isfinite(threshold)):
+            # an infinite threshold would pass every value of the level
+            raise OverflowError(f"the zero threshold of order {d} is not a finite double")
         if d <= n:
             signed.append((-1.0) ** d * _minors_of_size(stack, d))
         selections, factorials, plan = _scan_level(n, d)
@@ -260,9 +261,9 @@ def is_b_positive_definite(
     A of size <= max_order. Levels d = 1, 2, ... are computed and checked in
     turn, each multiset in itertools.combinations_with_replacement order,
     one nondecreasing representative per multiset (per_b is invariant under
-    simultaneous relabeling). The first value below -zero_tol * scale^d is
-    returned as the witness. This is the one-matrix case of the stacked
-    scan that vere_jones_check runs over its gamma grid.
+    simultaneous relabeling). The first value below -tol.threshold(A, d) is
+    the witness; a threshold that overflows raises OverflowError. This is
+    the one-matrix case of the stacked scan vere_jones_check runs.
     """
     return _positivity_scans(as_matrix(a)[None], b, max_order, tol)[0]
 
@@ -355,12 +356,9 @@ def vere_jones_check(
     if any(x <= 0.0 for x in grid):
         raise ValueError("gamma values must be strictly positive")
 
-    s = scale_of(g)
-    eigenvalues = np.linalg.eigvals(g)
-    real = sorted(
-        float(ev.real) for ev in eigenvalues if abs(ev.imag) <= tol.zero_tol * s
-    )
-    condition_i = all(ev >= -tol.zero_tol * s for ev in real)
+    thr = tol.threshold(g)
+    real = sorted(float(ev.real) for ev in np.linalg.eigvals(g) if abs(ev.imag) <= thr)
+    condition_i = all(ev >= -thr for ev in real)
 
     poles, tilted = _resolvents(g, grid, tol)
     if not np.all(np.isfinite(tilted)):

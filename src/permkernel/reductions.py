@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, MatrixError, PoleAtSigma, SingularBlock, ZeroPivotEntry
-from .matcore import DEFAULT_TOL, Tolerance, as_matrix, det, scale_of
+from .matcore import DEFAULT_TOL, Tolerance, as_matrix, det
 from .classify import (
     count_symmetrizable_3subsets,
     is_inverse_m_matrix,
@@ -34,7 +34,9 @@ def conditioning_kernel(g, sigma: float, k: int, tol: Tolerance = DEFAULT_TOL) -
         raise IndexOutOfRange(f"pivot {k} outside 1..{n}")
     p = k - 1
     denom = 1.0 + sigma * g[p, p]
-    if abs(denom) <= tol.zero_tol * max(1.0, abs(sigma) * scale_of(g)):
+    # |sigma| * max(1, max|G|), to the last bit, without building an array
+    scale = max(abs(sigma), abs(sigma) * float(np.abs(g).max()))
+    if abs(denom) <= tol.threshold(scale):
         raise PoleAtSigma(f"1 + sigma*G({k},{k}) vanishes at sigma = {sigma}")
     coef = sigma / denom
     keep = [i for i in range(n) if i != p]
@@ -53,7 +55,7 @@ def ratio_matrix(g, p: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if not 1 <= p <= n:
         raise IndexOutOfRange(f"pivot {p} outside 1..{n}")
     q = p - 1
-    thr = tol.zero_tol * scale_of(g)
+    thr = tol.threshold(g)
     if np.any(np.abs(g[:, q]) <= thr) or np.any(np.abs(g[q, :]) <= thr):
         raise ZeroPivotEntry(f"pivot row/column {p} has a zero entry")
     return g / np.outer(g[:, q], g[q, :])
@@ -87,8 +89,8 @@ def _breakpoints(gm: np.ndarray, hi: float, tol: Tolerance):
     """Breakpoints of every triple of `gm` (see `three_cycles`) in one pass.
 
     Returns (degenerate, values): a flag and the sorted roots in (0, hi)
-    for each triple. The thresholds scale with s = max(1, max|block|) of the
-    triple's 3x3 block: s for c^2, s^2 for c, s^3 for the constant term.
+    for each triple. The thresholds are tol.threshold of the triple's 3x3
+    block at degree 1 for c^2, 2 for c and 3 for the constant term.
     """
     entries = three_cycles(gm)
     x, y, z, u, v, w = entries[:6]
@@ -97,11 +99,9 @@ def _breakpoints(gm: np.ndarray, hi: float, tol: Tolerance):
     a1 = -((x * y + y * z + z * x) - (u * v + v * w + w * u))
     a0 = x * y * z - u * v * w
 
-    s = np.maximum(1.0, np.abs(entries).max(axis=0))
-    zt = tol.zero_tol
-    quadratic = np.abs(a2) > zt * s
-    linear = ~quadratic & (np.abs(a1) > zt * np.float_power(s, 2))
-    degenerate = ~quadratic & ~linear & (np.abs(a0) <= zt * np.float_power(s, 3))
+    quadratic = np.abs(a2) > tol.threshold(entries, 1, axis=0)
+    linear = ~quadratic & (np.abs(a1) > tol.threshold(entries, 2, axis=0))
+    degenerate = ~quadratic & ~linear & (np.abs(a0) <= tol.threshold(entries, 3, axis=0))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.sqrt(a1 * a1 - 4.0 * a2 * a0)  # NaN for a negative discriminant
@@ -113,7 +113,7 @@ def _breakpoints(gm: np.ndarray, hi: float, tol: Tolerance):
             np.stack((linear_root, np.full_like(linear_root, np.nan))),
         )
     inside = (0.0 < roots) & (roots < hi)
-    distinct = np.abs(roots[1] - roots[0]) > zt * max(1.0, hi)
+    distinct = np.abs(roots[1] - roots[0]) > tol.threshold(hi)
     keep = np.stack((inside[0], inside[1] & (~inside[0] | distinct)), axis=1)
     values = [
         [root for root, kept in zip(pair, flags) if kept]
@@ -210,7 +210,7 @@ def _blocks(h: np.ndarray, split: int):
 
 
 def _solve_block(block: np.ndarray, rhs: np.ndarray, name: str, tol: Tolerance):
-    if abs(det(block)) <= tol.zero_tol * scale_of(block):
+    if abs(det(block)) <= tol.threshold(block):
         raise SingularBlock(f"block {name} is numerically singular")
     return np.linalg.solve(block, rhs)
 
@@ -266,12 +266,10 @@ def johnson_smith_inverse_m(
     h22_inv_h21 = _solve_block(h22, h21, "H22", tol)
     over22_inv = np.linalg.inv(over_h22)  # nonsingular: it passed inverse-M above
     lower_left = h22_inv_h21 @ over22_inv
-    slack = tol.zero_tol * scale_of(lower_left)
-    if lower_left.min() < -slack:
+    if lower_left.min() < -tol.threshold(lower_left):
         return JohnsonSmithResult(False, "iii")
 
     upper_right = over22_inv @ h12 @ np.linalg.inv(h22)
-    slack = tol.zero_tol * scale_of(upper_right)
-    if upper_right.min() < -slack:
+    if upper_right.min() < -tol.threshold(upper_right):
         return JohnsonSmithResult(False, "iv")
     return JohnsonSmithResult(True, None)

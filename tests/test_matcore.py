@@ -286,3 +286,46 @@ def test_tolerance_validation():
         Tolerance(zero_tol=0.0)
     with pytest.raises(ValueError):
         Tolerance(rel_tol=-1e-9)
+
+
+def test_threshold_floors_the_scale_at_one():
+    tol = Tolerance(zero_tol=1e-9)
+    small = np.full((3, 3), 1e-3)
+    assert tol.threshold(small) == 1e-9
+    assert tol.threshold(small, 4) == 1e-9
+
+
+def test_threshold_degree_raises_the_scale_to_that_power():
+    tol = Tolerance(zero_tol=1e-9)
+    a = np.array([[2.0, -5.0], [1.0, 3.0]])
+    for degree in (1, 2, 3):
+        assert tol.threshold(a, degree) == 1e-9 * 5.0**degree
+
+
+def test_threshold_axis_gives_one_value_per_matrix_of_a_stack():
+    tol = Tolerance(zero_tol=1e-9)
+    stack = np.stack([np.full((3, 3), c) for c in (1e-3, -2.0, 10.0, 4.0)])
+    thr = tol.threshold(stack, 2, axis=(1, 2))
+    assert isinstance(thr, np.ndarray) and thr.shape == (4,)
+    assert thr.tolist() == [1e-9, 1e-9 * 4.0, 1e-9 * 100.0, 1e-9 * 16.0]
+    assert type(tol.threshold(stack[1], 2)) is float
+
+
+def test_threshold_on_a_stack_matches_each_matrix_to_the_bit():
+    # the scan's per-level thresholds come from the stacked form
+    tol = Tolerance()
+    stack = np.exp(np.random.default_rng(0).uniform(0.0, 20.0, (200, 2, 2)))
+    for degree in range(1, 9):
+        expected = [tol.threshold(a, degree) for a in stack]
+        assert tol.threshold(stack, degree, axis=(1, 2)).tolist() == expected
+
+
+def test_threshold_overflow_raises_without_axis():
+    tol = Tolerance()
+    big = np.full((2, 2), 1e160)
+    assert np.isfinite(tol.threshold(big))
+    assert np.all(np.isfinite(tol.threshold(big[None], axis=(1, 2))))
+    with pytest.raises(OverflowError):
+        tol.threshold(big, 3)
+    with np.errstate(over="ignore"):
+        assert tol.threshold(big[None], 3, axis=(1, 2)).tolist() == [np.inf]

@@ -364,6 +364,12 @@ def test_vere_jones_scan_threshold_overflow_raises():
         vere_jones_check([[1e160, -1e160], [1e160, 1e160]], 0.5, gamma_grid=[1e-300])
 
 
+def test_scan_threshold_overflow_names_the_order():
+    # order 1 passes (the diagonal is positive); the order-2 threshold overflows
+    with pytest.raises(OverflowError, match="order 2"):
+        is_b_positive_definite([[1e160, -1e160], [1e160, 1e160]], 0.5, max_order=3)
+
+
 def test_vere_jones_scratch_memory_at_the_order_cap():
     rng = np.random.default_rng(3)
     g = rng.uniform(-1.0, 1.0, (8, 8))
