@@ -94,13 +94,16 @@ def triple_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def three_cycles(a: np.ndarray) -> np.ndarray:
-    """Entries of every 3x3 principal submatrix of `a`, shape (9, m).
+    """Entries of every 3x3 principal submatrix of each matrix of a stack
+    (..., n, n), shape (9, ..., m).
 
     Column t belongs to triple (i, j, k) = triple_table(n)[0][t]. Rows 0-2
     are the forward cycle (a_ij, a_jk, a_ki), rows 3-5 the reverse cycle
     (a_ji, a_ik, a_kj) and rows 6-8 the diagonal (a_ii, a_jj, a_kk).
     """
-    return np.take(a, triple_table(a.shape[0])[1])
+    n = a.shape[-1]
+    cycles = np.take(a.reshape(*a.shape[:-2], n * n), triple_table(n)[1], axis=-1)
+    return cycles.transpose(-2, *range(cycles.ndim - 2), -1)
 
 
 def _cycle_products(entries: np.ndarray):
@@ -109,8 +112,8 @@ def _cycle_products(entries: np.ndarray):
 
 
 def _symmetrizable(a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Boolean mask over the triples of `a`: is the principal submatrix
-    symmetrizable.
+    """Boolean mask over the triples of each matrix of a stack (..., n, n),
+    shape (..., m): is the principal submatrix symmetrizable.
 
     Each triple has its own zero threshold, tol.threshold of its block. A
     zero off-diagonal entry decides True; otherwise the diagonal must be

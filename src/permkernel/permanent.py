@@ -338,7 +338,7 @@ def vere_jones_check(
     ignored). Condition (II) at every grid gamma: a positivity signature of
     the tilted kernel certifies a pass at every order; without one, the
     bounded multiset scan runs. Gammas at resolvent poles are skipped with a
-    note.
+    note; a gamma whose product with max|G| overflows raises OverflowError.
 
     Condition (II) runs on the whole grid at once: one batched determinant
     finds the poles, one batched solve tilts the kernel at the other
@@ -355,6 +355,11 @@ def vere_jones_check(
         raise ValueError("gamma grid must be nonempty")
     if any(x <= 0.0 for x in grid):
         raise ValueError("gamma values must be strictly positive")
+    # an infinite I + gamma*G would be misread below as a non-finite input
+    scale = float(np.abs(g).max())
+    overflowed = [x for x in grid if not math.isfinite(x * scale)]
+    if overflowed:
+        raise OverflowError(f"gamma*max|G| is not finite at gamma = {overflowed[0]}")
 
     thr = tol.threshold(g)
     real = sorted(float(ev.real) for ev in np.linalg.eigvals(g) if abs(ev.imag) <= thr)

@@ -11,12 +11,40 @@ import numpy as np
 
 from .errors import IndexOutOfRange, MatrixError, PoleAtSigma, SingularBlock, ZeroPivotEntry
 from .matcore import DEFAULT_TOL, Tolerance, as_matrix, det
-from .classify import (
-    count_symmetrizable_3subsets,
-    is_inverse_m_matrix,
-    three_cycles,
-    triple_table,
-)
+from .classify import _symmetrizable, is_inverse_m_matrix, three_cycles, triple_table
+
+
+def _pivot_blocks(g: np.ndarray, pivots: np.ndarray):
+    """For each 0-based pivot p of `pivots`: the other indices in order,
+    shape (k, n-1), G without row and column p and the outer product
+    G(i,p) G(p,j) over the other indices, both stacks (k, n-1, n-1)."""
+    step = np.arange(g.shape[0] - 1)
+    rest = step + (step >= pivots[:, None])
+    cols, rows = g[rest, pivots[:, None]], g[pivots[:, None], rest]
+    return rest, g[rest[:, :, None], rest[:, None, :]], cols[:, :, None] * rows[:, None, :]
+
+
+def _conditioning_kernels(g, pivots, sub, outer, sigmas, tol: Tolerance):
+    """Conditioning kernels at every (pivot, sigma) pair, from
+    `_pivot_blocks(g, pivots)`: poles (k, s), True where
+    |1 + sigma G(p,p)| <= tol.threshold(|sigma| max(1, max|G|)), and the
+    other pairs' sub - sigma / (1 + sigma G(p,p)) * outer, pivot-major.
+    OverflowError at the first pair where sigma G(p,p) or |sigma| max|G| is
+    not finite: against an infinite threshold every denominator is a pole.
+    """
+    diag, sig = g[pivots, pivots], np.asarray(sigmas, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = sig * diag[:, None]
+        scale = np.abs(sig) * max(1.0, float(np.abs(g).max()))
+    finite = np.isfinite(terms) & np.isfinite(scale)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        k = pivots[i] + 1
+        raise OverflowError(f"sigma*G({k},{k}) or |sigma|*max|G| overflows at sigma = {sigmas[j]}")
+    denom = 1.0 + terms
+    poles = np.abs(denom) <= tol.threshold(scale, axis=())  # axis=(): one per sigma
+    pi, si = np.nonzero(~poles)
+    return poles, sub[pi] - (sig[si] / denom[pi, si])[:, None, None] * outer[pi]
 
 
 def conditioning_kernel(g, sigma: float, k: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -24,7 +52,9 @@ def conditioning_kernel(g, sigma: float, k: int, tol: Tolerance = DEFAULT_TOL) -
 
     Entry (i, j) over the remaining indices is
     G(i,j) - sigma / (1 + sigma G(k,k)) * G(i,k) G(k,j); as sigma -> 0 this
-    is plain deletion of row and column k. `k` is 1-based.
+    is plain deletion of row and column k. `k` is 1-based. PoleAtSigma where
+    1 + sigma G(k,k) vanishes, OverflowError where sigma G(k,k) or
+    |sigma| max|G| is not finite; the one-pair case of reduce_scan's stack.
     """
     g = as_matrix(g)
     n = g.shape[0]
@@ -32,16 +62,12 @@ def conditioning_kernel(g, sigma: float, k: int, tol: Tolerance = DEFAULT_TOL) -
         raise ValueError("conditioning needs dimension at least 2")
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"pivot {k} outside 1..{n}")
-    p = k - 1
-    denom = 1.0 + sigma * g[p, p]
-    # |sigma| * max(1, max|G|), to the last bit, without building an array
-    scale = max(abs(sigma), abs(sigma) * float(np.abs(g).max()))
-    if abs(denom) <= tol.threshold(scale):
+    pivots = np.array([k - 1])
+    _, sub, outer = _pivot_blocks(g, pivots)
+    poles, kernels = _conditioning_kernels(g, pivots, sub, outer, [sigma], tol)
+    if poles[0, 0]:
         raise PoleAtSigma(f"1 + sigma*G({k},{k}) vanishes at sigma = {sigma}")
-    coef = sigma / denom
-    keep = [i for i in range(n) if i != p]
-    sub = g[np.ix_(keep, keep)]
-    return sub - coef * np.outer(g[keep, p], g[p, keep])
+    return kernels[0]
 
 
 def ratio_matrix(g, p: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -85,12 +111,13 @@ def _interval_end(pivot_diag: float) -> float:
     return 1.0 / pivot_diag
 
 
-def _breakpoints(gm: np.ndarray, hi: float, tol: Tolerance):
-    """Breakpoints of every triple of `gm` (see `three_cycles`) in one pass.
+def _breakpoints(gm: np.ndarray, hi: np.ndarray, tol: Tolerance):
+    """Breakpoints of every triple (see `three_cycles`) of each matrix of a
+    stack (k, n, n) in one pass; hi (k,) holds each one's interval end.
 
-    Returns (degenerate, values): a flag and the sorted roots in (0, hi)
-    for each triple. The thresholds are tol.threshold of the triple's 3x3
-    block at degree 1 for c^2, 2 for c and 3 for the constant term.
+    Returns (degenerate, values): per matrix, a flag and the sorted roots in
+    (0, hi) for each triple. The thresholds are tol.threshold of the
+    triple's 3x3 block at degree 1 for c^2, 2 for c and 3 for the constant term.
     """
     entries = three_cycles(gm)
     x, y, z, u, v, w = entries[:6]
@@ -112,13 +139,13 @@ def _breakpoints(gm: np.ndarray, hi: float, tol: Tolerance):
             np.stack((np.fmin(left, right), np.fmax(left, right))),
             np.stack((linear_root, np.full_like(linear_root, np.nan))),
         )
+    hi = hi[:, None]
     inside = (0.0 < roots) & (roots < hi)
-    distinct = np.abs(roots[1] - roots[0]) > tol.threshold(hi)
-    keep = np.stack((inside[0], inside[1] & (~inside[0] | distinct)), axis=1)
-    values = [
-        [root for root, kept in zip(pair, flags) if kept]
-        for pair, flags in zip(roots.T.tolist(), keep.tolist())
-    ]
+    distinct = np.abs(roots[1] - roots[0]) > tol.threshold(hi, axis=())  # one per matrix
+    keep = np.stack((inside[0], inside[1] & (~inside[0] | distinct)), axis=-1)
+    # a kept root lies in (0, hi), so NaN marks exactly the dropped ones
+    kept = np.where(keep, np.moveaxis(roots, 0, -1), np.nan).tolist()
+    values = [[[root for root in pair if root == root] for pair in matrix] for matrix in kept]
     return degenerate.tolist(), values
 
 
@@ -142,7 +169,7 @@ def symmetrizability_breakpoints(
         raise ValueError("triple must consist of three distinct indices")
     if any(i < 0 or i >= gm.shape[0] for i in ids):
         raise ValueError(f"triple {tuple(triple)} outside 1..{gm.shape[0]}")
-    (degenerate,), (values,) = _breakpoints(gm[np.ix_(ids, ids)], hi, tol)
+    ((degenerate,),), ((values,),) = _breakpoints(gm[np.ix_(ids, ids)][None], np.array([hi]), tol)
     return BreakpointSet(values=tuple(values), degenerate=degenerate)
 
 
@@ -153,38 +180,43 @@ def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     and, at each sigma of `sigma_grid`, the symmetrizable 3-subsets of the
     conditioning kernel (status "ok") or the pole there (status "pole"). A
     pivot whose row or column has a zero entry carries a "note" and empty
-    lists instead.
+    lists instead. A nonpositive diagonal at a usable pivot raises
+    ValueError, then a sigma whose product with G overflows OverflowError.
+    All pivots and sigmas are one stack, and every kernel is bit for bit
+    the one conditioning_kernel gives alone.
     """
     g = as_matrix(g)
     n = g.shape[0]
     if n < 4:
         raise MatrixError("reduce-scan needs dimension at least 4")
+    zero = np.abs(g) <= tol.threshold(g)
+    unusable = zero.any(axis=0) | zero.any(axis=1)
+    usable = np.flatnonzero(~unusable)
+    hi = np.array([_interval_end(g[p, p]) for p in usable])
+    rest, sub, outer = _pivot_blocks(g, usable)
+    poles, kernels = _conditioning_kernels(g, usable, sub, outer, sigma_grid, tol)
+    degenerate, values = _breakpoints(sub / outer, hi, tol)
+    triples = triple_table(n - 1)[0]
+    subsets = iter([(triples[mask] + 1).tolist() for mask in _symmetrizable(kernels, tol)])
+    found = iter(zip((rest[:, triples] + 1).tolist(), degenerate, values, poles))
     pivots = []
-    for pivot in range(1, n + 1):
-        try:
-            gamma_mat = ratio_matrix(g, pivot, tol)
-        except ZeroPivotEntry as exc:
-            pivots.append({"pivot": pivot, "note": str(exc), "breakpoints": [], "scan": []})
+    for pivot, skip in enumerate(unusable.tolist(), 1):
+        if skip:
+            note = f"pivot row/column {pivot} has a zero entry"
+            pivots.append({"pivot": pivot, "note": note, "breakpoints": [], "scan": []})
             continue
-        hi = _interval_end(g[pivot - 1, pivot - 1])
-        rest = np.delete(np.arange(n), pivot - 1)
-        degenerate, values = _breakpoints(gamma_mat[np.ix_(rest, rest)], hi, tol)
-        triples = rest[triple_table(n - 1)[0]]
+        labels, flags, roots, pole_row = next(found)
         breakpoints = [
-            {"triple": triple, "values": roots, "degenerate": flag}
-            for triple, roots, flag in zip((triples + 1).tolist(), values, degenerate)
+            {"triple": triple, "values": vals, "degenerate": flag}
+            for triple, vals, flag in zip(labels, roots, flags)
         ]
         scan = []
-        for sigma in sigma_grid:
-            try:
-                conditioned = conditioning_kernel(g, sigma, pivot, tol)
-            except PoleAtSigma as exc:
-                scan.append({"sigma": sigma, "status": "pole", "note": str(exc)})
+        for sigma, pole in zip(sigma_grid, pole_row.tolist()):
+            if pole:
+                note = f"1 + sigma*G({pivot},{pivot}) vanishes at sigma = {sigma}"
+                scan.append({"sigma": sigma, "status": "pole", "note": note})
                 continue
-            sym3 = count_symmetrizable_3subsets(conditioned, tol)
-            scan.append(
-                {"sigma": sigma, "status": "ok", "symmetrizable_3subsets": [list(t) for t in sym3]}
-            )
+            scan.append({"sigma": sigma, "status": "ok", "symmetrizable_3subsets": next(subsets)})
         pivots.append({"pivot": pivot, "breakpoints": breakpoints, "scan": scan})
     return pivots
 

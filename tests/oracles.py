@@ -254,21 +254,25 @@ def breakpoints_scalar(gamma, triple, pivot_diag: float, tol) -> tuple:
 def reduce_scan_loop(g, sigma_grid, tol) -> list:
     """The reduce-scan report built pivot by pivot and triple by triple:
     ratio matrix, scalar breakpoint solve, conditioned kernel and the
-    looped count, with the same notes and errors."""
+    looped count, with the same notes and errors. A nonpositive diagonal
+    at a usable pivot is reported before an overflowed sigma."""
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
     scale = max(1.0, float(np.abs(g).max()))
+    thr = tol.zero_tol * scale
+    usable = [
+        not (np.any(np.abs(g[:, p]) <= thr) or np.any(np.abs(g[p, :]) <= thr)) for p in range(n)
+    ]
+    if any(ok and g[p, p] <= 0.0 for p, ok in enumerate(usable)):
+        raise ValueError("pivot_diag must be strictly positive")
     pivots = []
     for p in range(n):
         label = p + 1
-        thr = tol.zero_tol * scale
-        if np.any(np.abs(g[:, p]) <= thr) or np.any(np.abs(g[p, :]) <= thr):
+        if not usable[p]:
             note = f"pivot row/column {label} has a zero entry"
             pivots.append({"pivot": label, "note": note, "breakpoints": [], "scan": []})
             continue
         gamma = g / np.outer(g[:, p], g[p, :])
-        if g[p, p] <= 0.0:
-            raise ValueError("pivot_diag must be strictly positive")
         rest = [i for i in range(n) if i != p]
         breakpoints = []
         for triple in itertools.combinations(rest, 3):
@@ -282,8 +286,14 @@ def reduce_scan_loop(g, sigma_grid, tol) -> list:
             )
         scan = []
         for sigma in sigma_grid:
-            denom = 1.0 + sigma * g[p, p]
-            if abs(denom) <= tol.zero_tol * max(1.0, abs(sigma) * scale):
+            with np.errstate(over="ignore", invalid="ignore"):
+                term, bound = sigma * g[p, p], abs(sigma) * scale
+            if not (np.isfinite(term) and np.isfinite(bound)):
+                raise OverflowError(
+                    f"sigma*G({label},{label}) or |sigma|*max|G| overflows at sigma = {sigma}"
+                )
+            denom = 1.0 + term
+            if abs(denom) <= tol.zero_tol * max(1.0, bound):
                 note = f"1 + sigma*G({label},{label}) vanishes at sigma = {sigma}"
                 scan.append({"sigma": sigma, "status": "pole", "note": note})
                 continue

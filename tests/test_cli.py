@@ -8,11 +8,17 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import permkernel
 from permkernel import mcverify
 from permkernel.cli import build_parser, main, run
-from permkernel.gallery import blockwise_inverse_m, laplace_demo_covariance, reproduce_paper
+from permkernel.gallery import (
+    blockwise_inverse_m,
+    laplace_demo_covariance,
+    one_symmetrizable_triple,
+    reproduce_paper,
+)
 from permkernel.matrixio import matrix_to_json
 
 
@@ -358,6 +364,24 @@ def test_permanent_overflow_is_a_one_line_numerical_failure(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("numerical failure in permanent: OverflowError")
+    assert captured.err.count("\n") == 1
+    assert not caught
+
+
+@pytest.mark.parametrize(
+    "command, grid_flag", [("reduce-scan", "--sigma-grid"), ("vere-jones", "--gamma-grid")]
+)
+def test_overflowed_tilt_is_a_one_line_numerical_failure(tmp_path, capsys, command, grid_flag):
+    # 1e300 times entries near 1e10 is not a double: neither a pole nor bad input
+    path = write_fixture(tmp_path, 1e10 * one_symmetrizable_triple())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--input", path, grid_flag, "1e300"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"numerical failure in {command}: OverflowError")
+    assert "1e+300" in captured.err
     assert captured.err.count("\n") == 1
     assert not caught
 

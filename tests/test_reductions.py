@@ -56,6 +56,9 @@ def test_conditioning_kernel_pole_and_bounds():
         conditioning_kernel(g, 1.0, 3)
     with pytest.raises(ValueError):
         conditioning_kernel(np.eye(1), 1.0, 1)
+    # sigma * G(1,1) overflows: the denominator is huge, not zero
+    with pytest.raises(OverflowError, match=r"at sigma = 1e\+300"):
+        conditioning_kernel(1e10 * one_symmetrizable_triple(), 1e300, 1)
 
 
 def test_ratio_matrix():

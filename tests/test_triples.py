@@ -4,7 +4,8 @@
 `symmetrizability_breakpoints` and the `reduce_scan` report must equal the
 loops in `oracles.py` exactly, on signed input and on the edge cases of
 their rules: entries exactly at the zero threshold, negative diagonals,
-3-cycles that tie within rel_tol, double roots, poles and sigma <= 0.
+3-cycles that tie within rel_tol, double roots, poles, sigma <= 0 and a
+sigma whose product with G overflows.
 """
 
 import json
@@ -19,8 +20,10 @@ from oracles import (
     reduce_scan_loop,
 )
 from permkernel import (
+    PoleAtSigma,
     Tolerance,
     classify_kernel,
+    conditioning_kernel,
     count_symmetrizable_3subsets,
     reduce_scan,
     symmetrizability_breakpoints,
@@ -81,19 +84,27 @@ def double_root(rng, n):
     return g
 
 
-FAMILIES = (signed, positive_diagonal, at_threshold, near_tie, double_root)
+def rescaled(rng, n):
+    """Signed or positive-diagonal entries scaled by 1e-6, 1e6 or 1e10; at
+    1e10 the grid's sigma = 1e300 overflows against G."""
+    g = signed(rng, n) if rng.random() < 0.3 else positive_diagonal(rng, n)
+    return g * 10.0 ** rng.choice([-6, 6, 10])
+
+
+FAMILIES = (signed, positive_diagonal, at_threshold, near_tie, double_root, rescaled)
 
 
 def outcome(fn):
     try:
         return json.dumps(fn(), sort_keys=True)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def sigma_grid(g):
-    # includes sigma = 0, negative sigmas and a pole of the first usable pivot
-    return [0.1, 1.0, 0.0, -0.25, -1.0 / g[0, 0] if g[0, 0] else 5.0]
+    # includes sigma = 0, negative sigmas, a pole of the first usable pivot
+    # and a sigma whose product with a large G overflows
+    return [0.1, 1.0, 0.0, -0.25, -1.0 / g[0, 0] if g[0, 0] else 5.0, 1e300]
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -136,20 +147,62 @@ def test_breakpoints_match_the_scalar_solve():
     assert all(count > 0 for count in hits.values()), hits
 
 
+def forbid_everywhere(patch, module, name, replacement):
+    """Replace `name` at every permkernel binding of `module`'s object."""
+    original = getattr(module, name)
+    for holder_name, holder in list(sys.modules.items()):
+        if holder_name.startswith("permkernel") and vars(holder).get(name) is original:
+            patch.setattr(holder, name, replacement)
+
+
 def test_scan_uses_the_batched_kernel(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the per-triple route must not run")
 
     monkeypatch.setattr(classify, "is_symmetrizable_3x3", forbidden)
     monkeypatch.setattr(reductions, "symmetrizability_breakpoints", forbidden)
-    original = matcore.principal_submatrix
-    for name, module in list(sys.modules.items()):
-        if name.startswith("permkernel") and vars(module).get("principal_submatrix") is original:
-            monkeypatch.setattr(module, "principal_submatrix", forbidden)
+    forbid_everywhere(monkeypatch, matcore, "principal_submatrix", forbidden)
 
     rng = np.random.default_rng(1402)
     g = rng.uniform(0.1, 1.0, (10, 10)) + np.diag(rng.uniform(3.0, 10.0, 10))
-    pivots = reduce_scan(g, [0.1, 1.0, 10.0], TOL)
+    with monkeypatch.context() as scan_only:
+        # one stack over every pivot and sigma, never the per-pair route
+        forbid_everywhere(scan_only, reductions, "conditioning_kernel", forbidden)
+        forbid_everywhere(scan_only, reductions, "ratio_matrix", forbidden)
+        forbid_everywhere(scan_only, classify, "count_symmetrizable_3subsets", forbidden)
+        pivots = reduce_scan(g, [0.1, 1.0, 10.0], TOL)
     assert [len(entry["breakpoints"]) for entry in pivots] == [84] * 10
     report = classify_kernel(g, gamma_grid=(1.0,), max_order=2, tol=TOL)
     assert report.sym3_subsets == tuple(count_symmetrizable_3subsets_loop(g, TOL))
+
+
+def test_conditioning_kernel_is_a_slice_of_the_stack():
+    rng = np.random.default_rng(1403)
+    poles = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        g = signed(rng, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        k = int(rng.integers(1, n + 1))
+        p = k - 1
+        if rng.random() < 0.1:
+            sigma = -1.0 / g[p, p]
+        else:
+            sigma = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        sigmas = [0.5, sigma, -2.0]
+        pivots = np.arange(n)
+        _, sub, outer = reductions._pivot_blocks(g, pivots)
+        pole, kernels = reductions._conditioning_kernels(g, pivots, sub, outer, sigmas, TOL)
+        if pole[p, 1]:
+            poles += 1
+            with pytest.raises(PoleAtSigma):
+                conditioning_kernel(g, sigma, k, TOL)
+            continue
+        # kernels holds the non-pole pairs, pivot-major
+        index = np.count_nonzero(~pole.ravel()[: p * len(sigmas) + 1])
+        got = conditioning_kernel(g, sigma, k, TOL)
+        np.testing.assert_array_equal(got, kernels[index])
+        rest = [i for i in range(n) if i != p]
+        coef = sigma / (1.0 + sigma * g[p, p])
+        expected = g[np.ix_(rest, rest)] - coef * np.outer(g[rest, p], g[p, rest])
+        np.testing.assert_array_equal(got, expected)
+    assert poles > 0
