@@ -101,8 +101,7 @@ def three_cycles(a: np.ndarray) -> np.ndarray:
     are the forward cycle (a_ij, a_jk, a_ki), rows 3-5 the reverse cycle
     (a_ji, a_ik, a_kj) and rows 6-8 the diagonal (a_ii, a_jj, a_kk).
     """
-    n = a.shape[-1]
-    cycles = np.take(a.reshape(*a.shape[:-2], n * n), triple_table(n)[1], axis=-1)
+    cycles = np.take(a.reshape(*a.shape[:-2], -1), triple_table(a.shape[-1])[1], axis=-1)
     return cycles.transpose(-2, *range(cycles.ndim - 2), -1)
 
 

@@ -353,10 +353,9 @@ def vere_jones_check(
     grid = default_gamma_grid() if gamma_grid is None else [float(x) for x in gamma_grid]
     if not grid:
         raise ValueError("gamma grid must be nonempty")
-    if any(x <= 0.0 for x in grid):
-        raise ValueError("gamma values must be strictly positive")
-    # an infinite I + gamma*G would be misread below as a non-finite input
-    scale = float(np.abs(g).max())
+    if not all(0.0 < x < math.inf for x in grid):
+        raise ValueError("gamma values must be finite and strictly positive")
+    scale = float(np.abs(g).max())  # an infinite I + gamma*G would read as bad input
     overflowed = [x for x in grid if not math.isfinite(x * scale)]
     if overflowed:
         raise OverflowError(f"gamma*max|G| is not finite at gamma = {overflowed[0]}")

@@ -13,6 +13,15 @@ from .errors import IndexOutOfRange, MatrixError, PoleAtSigma, SingularBlock, Ze
 from .matcore import DEFAULT_TOL, Tolerance, as_matrix, det
 from .classify import _symmetrizable, is_inverse_m_matrix, three_cycles, triple_table
 
+_ZERO_NOTE = "pivot row/column {0} has a zero entry"
+_POLE_NOTE = "1 + sigma*G({0},{0}) vanishes at sigma = {1}"
+
+
+def _zero_pivots(g: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Mask of the unusable pivots: a row or column entry is at most tol.threshold(g)."""
+    zero = np.abs(g) <= tol.threshold(g)
+    return zero.any(axis=0) | zero.any(axis=1)
+
 
 def _pivot_blocks(g: np.ndarray, pivots: np.ndarray):
     """For each 0-based pivot p of `pivots`: the other indices in order,
@@ -24,27 +33,31 @@ def _pivot_blocks(g: np.ndarray, pivots: np.ndarray):
     return rest, g[rest[:, :, None], rest[:, None, :]], cols[:, :, None] * rows[:, None, :]
 
 
-def _conditioning_kernels(g, pivots, sub, outer, sigmas, tol: Tolerance):
-    """Conditioning kernels at every (pivot, sigma) pair, from
-    `_pivot_blocks(g, pivots)`: poles (k, s), True where
-    |1 + sigma G(p,p)| <= tol.threshold(|sigma| max(1, max|G|)), and the
-    other pairs' sub - sigma / (1 + sigma G(p,p)) * outer, pivot-major.
-    OverflowError at the first pair where sigma G(p,p) or |sigma| max|G| is
-    not finite: against an infinite threshold every denominator is a pole.
-    """
-    diag, sig = g[pivots, pivots], np.asarray(sigmas, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = sig * diag[:, None]
+def _poles(g: np.ndarray, pivots: np.ndarray, sigmas, tol: Tolerance):
+    """Poles (k, s), where |1 + sigma G(p,p)| <= tol.threshold(|sigma| max(1,
+    max|G|)), and the other pairs' pivots and sigma / (1 + sigma G(p,p)).
+    ValueError for a non-finite sigma, OverflowError where sigma G(p,p) or
+    |sigma| max|G| overflows (against inf every denominator is a pole)."""
+    sig = np.asarray(sigmas, dtype=float)
+    if not np.isfinite(sig).all():
+        raise ValueError("sigma values must be finite")
+    with np.errstate(over="ignore"):
+        terms = sig * g[pivots, pivots][:, None]
         scale = np.abs(sig) * max(1.0, float(np.abs(g).max()))
-    finite = np.isfinite(terms) & np.isfinite(scale)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        k = pivots[i] + 1
+    bad = np.argwhere(~(np.isfinite(terms) & np.isfinite(scale)))
+    if bad.size:
+        k, j = pivots[bad[0, 0]] + 1, bad[0, 1]
         raise OverflowError(f"sigma*G({k},{k}) or |sigma|*max|G| overflows at sigma = {sigmas[j]}")
     denom = 1.0 + terms
     poles = np.abs(denom) <= tol.threshold(scale, axis=())  # axis=(): one per sigma
     pi, si = np.nonzero(~poles)
-    return poles, sub[pi] - (sig[si] / denom[pi, si])[:, None, None] * outer[pi]
+    return poles, pivots[pi], sig[si] / denom[pi, si]
+
+
+def _conditioning_kernels(g: np.ndarray, pivots: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """sub - coef * outer (see `_pivot_blocks`) per pivot and `_poles` coefficient."""
+    _, sub, outer = _pivot_blocks(g, pivots)
+    return sub - coefs[:, None, None] * outer
 
 
 def conditioning_kernel(g, sigma: float, k: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -52,9 +65,8 @@ def conditioning_kernel(g, sigma: float, k: int, tol: Tolerance = DEFAULT_TOL) -
 
     Entry (i, j) over the remaining indices is
     G(i,j) - sigma / (1 + sigma G(k,k)) * G(i,k) G(k,j); as sigma -> 0 this
-    is plain deletion of row and column k. `k` is 1-based. PoleAtSigma where
-    1 + sigma G(k,k) vanishes, OverflowError where sigma G(k,k) or
-    |sigma| max|G| is not finite; the one-pair case of reduce_scan's stack.
+    is plain deletion of row and column k. `k` is 1-based. The one-pair case
+    of reduce_scan's stack, with its PoleAtSigma and errors (see `_poles`).
     """
     g = as_matrix(g)
     n = g.shape[0]
@@ -63,11 +75,10 @@ def conditioning_kernel(g, sigma: float, k: int, tol: Tolerance = DEFAULT_TOL) -
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"pivot {k} outside 1..{n}")
     pivots = np.array([k - 1])
-    _, sub, outer = _pivot_blocks(g, pivots)
-    poles, kernels = _conditioning_kernels(g, pivots, sub, outer, [sigma], tol)
+    poles, pivots, coefs = _poles(g, pivots, [sigma], tol)
     if poles[0, 0]:
-        raise PoleAtSigma(f"1 + sigma*G({k},{k}) vanishes at sigma = {sigma}")
-    return kernels[0]
+        raise PoleAtSigma(_POLE_NOTE.format(k, sigma))
+    return _conditioning_kernels(g, pivots, coefs)[0]
 
 
 def ratio_matrix(g, p: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -80,11 +91,9 @@ def ratio_matrix(g, p: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     n = g.shape[0]
     if not 1 <= p <= n:
         raise IndexOutOfRange(f"pivot {p} outside 1..{n}")
-    q = p - 1
-    thr = tol.threshold(g)
-    if np.any(np.abs(g[:, q]) <= thr) or np.any(np.abs(g[q, :]) <= thr):
-        raise ZeroPivotEntry(f"pivot row/column {p} has a zero entry")
-    return g / np.outer(g[:, q], g[q, :])
+    if _zero_pivots(g, tol)[p - 1]:
+        raise ZeroPivotEntry(_ZERO_NOTE.format(p))
+    return g / np.outer(g[:, p - 1], g[p - 1, :])
 
 
 @dataclass(frozen=True)
@@ -139,9 +148,8 @@ def _breakpoints(gm: np.ndarray, hi: np.ndarray, tol: Tolerance):
             np.stack((np.fmin(left, right), np.fmax(left, right))),
             np.stack((linear_root, np.full_like(linear_root, np.nan))),
         )
-    hi = hi[:, None]
-    inside = (0.0 < roots) & (roots < hi)
-    distinct = np.abs(roots[1] - roots[0]) > tol.threshold(hi, axis=())  # one per matrix
+    inside = (0.0 < roots) & (roots < hi[:, None])
+    distinct = np.abs(roots[1] - roots[0]) > tol.threshold(hi[:, None], axis=())  # per matrix
     keep = np.stack((inside[0], inside[1] & (~inside[0] | distinct)), axis=-1)
     # a kept root lies in (0, hi), so NaN marks exactly the dropped ones
     kept = np.where(keep, np.moveaxis(roots, 0, -1), np.nan).tolist()
@@ -181,42 +189,44 @@ def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     conditioning kernel (status "ok") or the pole there (status "pole"). A
     pivot whose row or column has a zero entry carries a "note" and empty
     lists instead. A nonpositive diagonal at a usable pivot raises
-    ValueError, then a sigma whose product with G overflows OverflowError.
-    All pivots and sigmas are one stack, and every kernel is bit for bit
-    the one conditioning_kernel gives alone.
+    ValueError, then the errors of `_poles`. Pivots and non-pole (pivot,
+    sigma) pairs run in stacks of at most 2^16 // C(n-1, 3) matrices, as in
+    _positivity_scans; each kernel is bit for bit conditioning_kernel's.
     """
     g = as_matrix(g)
     n = g.shape[0]
     if n < 4:
         raise MatrixError("reduce-scan needs dimension at least 4")
-    zero = np.abs(g) <= tol.threshold(g)
-    unusable = zero.any(axis=0) | zero.any(axis=1)
+    unusable = _zero_pivots(g, tol)
     usable = np.flatnonzero(~unusable)
     hi = np.array([_interval_end(g[p, p]) for p in usable])
-    rest, sub, outer = _pivot_blocks(g, usable)
-    poles, kernels = _conditioning_kernels(g, usable, sub, outer, sigma_grid, tol)
-    degenerate, values = _breakpoints(sub / outer, hi, tol)
+    poles, pair_pivots, coefs = _poles(g, usable, sigma_grid, tol)
     triples = triple_table(n - 1)[0]
-    subsets = iter([(triples[mask] + 1).tolist() for mask in _symmetrizable(kernels, tol)])
-    found = iter(zip((rest[:, triples] + 1).tolist(), degenerate, values, poles))
-    pivots = []
+    width = max(1, 2**16 // len(triples))
+    found, subsets = [], []  # breakpoint entries per usable pivot, subsets per pair
+    for part in (slice(start, start + width) for start in range(0, len(usable), width)):
+        rest, sub, outer = _pivot_blocks(g, usable[part])
+        flags, roots = _breakpoints(sub / outer, hi[part], tol)
+        found += [
+            [{"triple": t, "values": v, "degenerate": f} for t, v, f in zip(*entry)]
+            for entry in zip((rest[:, triples] + 1).tolist(), roots, flags)
+        ]
+    for part in (slice(start, start + width) for start in range(0, len(coefs), width)):
+        kernels = _conditioning_kernels(g, pair_pivots[part], coefs[part])
+        subsets += [(triples[mask] + 1).tolist() for mask in _symmetrizable(kernels, tol)]
+    found, subsets, pivots = iter(zip(found, poles.tolist())), iter(subsets), []
     for pivot, skip in enumerate(unusable.tolist(), 1):
         if skip:
-            note = f"pivot row/column {pivot} has a zero entry"
+            note = _ZERO_NOTE.format(pivot)
             pivots.append({"pivot": pivot, "note": note, "breakpoints": [], "scan": []})
             continue
-        labels, flags, roots, pole_row = next(found)
-        breakpoints = [
-            {"triple": triple, "values": vals, "degenerate": flag}
-            for triple, vals, flag in zip(labels, roots, flags)
+        breakpoints, pole_row = next(found)
+        scan = [
+            {"sigma": sigma, "status": "pole", "note": _POLE_NOTE.format(pivot, sigma)}
+            if pole
+            else {"sigma": sigma, "status": "ok", "symmetrizable_3subsets": next(subsets)}
+            for sigma, pole in zip(sigma_grid, pole_row)
         ]
-        scan = []
-        for sigma, pole in zip(sigma_grid, pole_row.tolist()):
-            if pole:
-                note = f"1 + sigma*G({pivot},{pivot}) vanishes at sigma = {sigma}"
-                scan.append({"sigma": sigma, "status": "pole", "note": note})
-                continue
-            scan.append({"sigma": sigma, "status": "ok", "symmetrizable_3subsets": next(subsets)})
         pivots.append({"pivot": pivot, "breakpoints": breakpoints, "scan": scan})
     return pivots
 

@@ -255,7 +255,7 @@ def reduce_scan_loop(g, sigma_grid, tol) -> list:
     """The reduce-scan report built pivot by pivot and triple by triple:
     ratio matrix, scalar breakpoint solve, conditioned kernel and the
     looped count, with the same notes and errors. A nonpositive diagonal
-    at a usable pivot is reported before an overflowed sigma."""
+    at a usable pivot is reported before a non-finite or overflowed sigma."""
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
     scale = max(1.0, float(np.abs(g).max()))
@@ -265,6 +265,8 @@ def reduce_scan_loop(g, sigma_grid, tol) -> list:
     ]
     if any(ok and g[p, p] <= 0.0 for p, ok in enumerate(usable)):
         raise ValueError("pivot_diag must be strictly positive")
+    if not all(np.isfinite(sigma) for sigma in sigma_grid):
+        raise ValueError("sigma values must be finite")
     pivots = []
     for p in range(n):
         label = p + 1

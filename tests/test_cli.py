@@ -386,6 +386,29 @@ def test_overflowed_tilt_is_a_one_line_numerical_failure(tmp_path, capsys, comma
     assert not caught
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command, grid_flag, message",
+    [
+        ("reduce-scan", "--sigma-grid", "sigma values must be finite"),
+        ("vere-jones", "--gamma-grid", "gamma values must be finite and strictly positive"),
+    ],
+)
+def test_non_finite_grid_value_is_an_input_error(
+    tmp_path, capsys, command, grid_flag, message, value
+):
+    # nothing overflows: the grid itself is bad input, not a numerical failure
+    path = write_fixture(tmp_path, one_symmetrizable_triple())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--input", path, grid_flag, f"0.5,{value}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error in {command}: {message}\n"
+    assert not caught
+
+
 def test_mc_verify_underflowed_denominator_is_a_one_line_numerical_failure(tmp_path, capsys):
     # every conditioning denominator exp(-sigma psi_n / 2) underflows to 0
     path = write_fixture(tmp_path, [[1e12, 2e11], [2e11, 1e12]])

@@ -59,6 +59,10 @@ def test_conditioning_kernel_pole_and_bounds():
     # sigma * G(1,1) overflows: the denominator is huge, not zero
     with pytest.raises(OverflowError, match=r"at sigma = 1e\+300"):
         conditioning_kernel(1e10 * one_symmetrizable_triple(), 1e300, 1)
+    # a non-finite sigma is bad input, not a pole or an overflow
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma values must be finite"):
+            conditioning_kernel(one_symmetrizable_triple(), sigma, 1)
 
 
 def test_ratio_matrix():

@@ -10,6 +10,7 @@ sigma whose product with G overflows.
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from permkernel import (
     classify_kernel,
     conditioning_kernel,
     count_symmetrizable_3subsets,
+    ratio_matrix,
     reduce_scan,
     symmetrizability_breakpoints,
 )
@@ -127,6 +129,11 @@ def test_batched_triples_match_the_loops(n):
                 assert outcome(lambda: reduce_scan(g, grid, TOL)) == outcome(
                     lambda: reduce_scan_loop(g, grid, TOL)
                 ), family.__name__
+            if n == 4 and trial == 0:
+                for bad in ([0.1, np.nan], [np.inf]):
+                    assert outcome(lambda: reduce_scan(g, bad, TOL)) == outcome(
+                        lambda: reduce_scan_loop(g, bad, TOL)
+                    ), family.__name__
 
 
 def test_breakpoints_match_the_scalar_solve():
@@ -189,9 +196,8 @@ def test_conditioning_kernel_is_a_slice_of_the_stack():
         else:
             sigma = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
         sigmas = [0.5, sigma, -2.0]
-        pivots = np.arange(n)
-        _, sub, outer = reductions._pivot_blocks(g, pivots)
-        pole, kernels = reductions._conditioning_kernels(g, pivots, sub, outer, sigmas, TOL)
+        pole, pair_pivots, coefs = reductions._poles(g, np.arange(n), sigmas, TOL)
+        kernels = reductions._conditioning_kernels(g, pair_pivots, coefs)
         if pole[p, 1]:
             poles += 1
             with pytest.raises(PoleAtSigma):
@@ -206,3 +212,42 @@ def test_conditioning_kernel_is_a_slice_of_the_stack():
         expected = g[np.ix_(rest, rest)] - coef * np.outer(g[rest, p], g[p, rest])
         np.testing.assert_array_equal(got, expected)
     assert poles > 0
+
+
+def test_reduce_scan_stacks_stay_bounded():
+    # 16 pivots x 100 sigmas x 455 triples: as one stack about 160 MiB
+    rng = np.random.default_rng(1404)
+    sym = rng.uniform(-1.0, 1.0, (16, 16))
+    sym = sym + sym.T
+    np.fill_diagonal(sym, rng.uniform(3.0, 10.0, 16))
+    d = rng.uniform(0.5, 2.0, 16)
+    g = sym * np.outer(d, 1.0 / d)
+    # break some triples, so that the subsets differ from pair to pair
+    g[0, 1:4] *= 1.5
+    g[5, 7] *= 0.7
+    g[9, 2] *= 1.3
+    grid = np.linspace(0.05, 5.0, 100).tolist()
+    tracemalloc.start()
+    try:
+        pivots = reduce_scan(g, grid, TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    # pairs from the first, a middle and the last stack of 2^16 // 455 kernels
+    for k, j in [(1, 0), (2, 43), (10, 99), (16, 50), (16, 99)]:
+        expected = count_symmetrizable_3subsets(conditioning_kernel(g, grid[j], k, TOL), TOL)
+        assert pivots[k - 1]["scan"][j]["symmetrizable_3subsets"] == [list(t) for t in expected]
+
+
+def test_reduce_scan_breakpoints_across_pivot_stacks():
+    # at n = 27 one stack takes 2^16 // C(26, 3) = 25 pivots, so 26 and 27 form a second
+    rng = np.random.default_rng(1405)
+    g = rng.uniform(-2.0, 2.0, (27, 27))
+    np.fill_diagonal(g, rng.uniform(0.2, 3.0, 27))
+    pivots = reduce_scan(g, [0.5], TOL)
+    for k in (1, 25, 26, 27):
+        gamma = ratio_matrix(g, k, TOL)
+        for entry in pivots[k - 1]["breakpoints"][::97]:
+            found = symmetrizability_breakpoints(gamma, entry["triple"], g[k - 1, k - 1], TOL)
+            assert (list(found.values), found.degenerate) == (entry["values"], entry["degenerate"])
