@@ -35,8 +35,8 @@ class Tolerance:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.zero_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        if not (0.0 < self.zero_tol < np.inf and 0.0 < self.rel_tol < np.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
 
     def threshold(self, a, degree: int = 1, axis=None):
         """zero_tol * max(1, max|a|)^degree: the bound at or below which a

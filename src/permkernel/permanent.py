@@ -35,17 +35,37 @@ MAX_PERMANENT_DIM = 12
 MAX_POSITIVITY_ORDER = 8
 
 
-def _subset_tables(m: int):
-    """Bit table (row T holds the bits of mask T), popcount and lowest set
-    bit of every mask over m indices."""
-    masks = np.arange(1 << m)
-    bits = np.zeros((1 << m, m), dtype=np.uint8)
-    for i in range(m):
-        bits[:, i] = (masks >> i) & 1
-    return bits, bits.sum(axis=1, dtype=np.intp), np.argmax(bits, axis=1)
+@functools.lru_cache(maxsize=MAX_PERMANENT_DIM)
+def _per_b_plan(m: int):
+    """Read-only intp index arrays of per_b at size m, built on first use.
+
+    Held-Karp level k: the size-k masks (ascending), then flat positions in
+    its (rows, m) path table of each row's lowest bit and of the extensions
+    (row, end above that bit and not in the row), and the extensions' flat
+    positions in the next level's table. Set-partition level k: the needed
+    size-k sets s and the (len(s), 2^(k-1)) gathers sub | head and rest ^
+    sub of their blocks that contain head = min(s).
+    """
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # row T: the bits of mask T
+    pop, low = bits.sum(axis=1), bits.argmax(axis=1)
+    levels = [np.flatnonzero(pop == k) for k in range(m + 2)]
+    walk, split = [], []
+    for k, rows in enumerate(levels[1:-1], start=1):
+        r, e = np.nonzero((bits[rows] == 0) & (np.arange(m) > low[rows, None]))
+        dst = np.searchsorted(levels[k + 1], rows[r] | (1 << e)) * m + e
+        walk.append((rows, np.arange(len(rows)) * m + low[rows], r * m + e, dst))
+        s = rows[((rows & 1) == 0) | (rows == (1 << m) - 1)]
+        head = 1 << low[s]
+        rest = s ^ head
+        pos = np.nonzero(bits[rest])[1].reshape(len(s), k - 1)
+        sub = (1 << pos) @ bits[: 1 << (k - 1), : k - 1].T
+        split.append((s, sub | head[:, None], rest[:, None] ^ sub))
+    for array in itertools.chain.from_iterable(walk + split):
+        array.setflags(write=False)
+    return tuple(walk), tuple(split)
 
 
-def _cycle_weights(a: np.ndarray, bits, pop, low) -> np.ndarray:
+def _cycle_weights(a: np.ndarray, walk) -> np.ndarray:
     """C[T] for every index set T (a bitmask): the sum, over the cyclic
     orders of T, of the entry products around the cycle.
 
@@ -55,16 +75,14 @@ def _cycle_weights(a: np.ndarray, bits, pop, low) -> np.ndarray:
     gives C[T]. Path rows that are all zero are not extended.
     """
     m = a.shape[0]
-    path = np.zeros((1 << m, m))
-    path[1 << np.arange(m), np.arange(m)] = 1.0
-    weight = np.zeros(1 << m)
-    for k in range(1, m + 1):
-        rows = np.flatnonzero(pop == k)
-        rows = rows[path[rows].any(axis=1)]
-        ext = path[rows] @ a
-        weight[rows] = ext[np.arange(len(rows)), low[rows]]
-        r, e = np.nonzero((bits[rows] == 0) & (np.arange(m) > low[rows, None]))
-        path[rows[r] | (1 << e), e] = ext[r, e]
+    path, weight = np.eye(m), np.zeros(1 << m)  # one path table per |T|; row i is {i}
+    for k, (rows, close, src, dst) in enumerate(walk, start=1):
+        live = path.any(axis=1)
+        ext = np.zeros((len(rows), m))
+        ext[live] = path[live] @ a
+        weight[rows] = ext.take(close)
+        path = np.zeros((math.comb(m, k + 1), m))
+        path.put(dst, ext.take(src))
     return weight
 
 
@@ -74,30 +92,26 @@ def per_b(a, b: float) -> float:
     A permutation is a partition of the indices into cycles, so with the
     Held-Karp cycle weights C[T], f[S] = sum over blocks T of S that
     contain min(S) of b * C[T] * f[S - T], and per_b(A) = f[all indices].
-    Only sets without index 1 and the full set are needed. Raises
-    OverflowError when the sum is not finite in double precision.
+    Only sets without index 1 and the full set are needed; their indices
+    are built once per m (_per_b_plan). Raises ValueError for a non-finite
+    b and OverflowError when the sum is not finite in double precision.
     """
     a = as_matrix(a)
     m = a.shape[0]
     if m > MAX_PERMANENT_DIM:
         raise DimensionTooLarge(f"b-permanents are capped at m = {MAX_PERMANENT_DIM}")
-    bits, pop, low = _subset_tables(m)
-    full = (1 << m) - 1
+    if not math.isfinite(b):
+        raise ValueError("exponent b must be finite")
+    walk, split = _per_b_plan(m)
     f = np.zeros(1 << m)
     f[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = b * _cycle_weights(a, bits, pop, low)
-        for k in range(1, m + 1):
-            s = np.flatnonzero(pop == k)
-            s = s[((s & 1) == 0) | (s == full)]
-            head = 1 << low[s]
-            rest = s ^ head
-            pos = np.nonzero(bits[rest])[1].reshape(len(s), k - 1)
-            sub = (1 << pos) @ bits[: 1 << (k - 1), : k - 1].T
-            f[s] = (weight[sub | head[:, None]] * f[rest[:, None] ^ sub]).sum(axis=1)
-    if not np.isfinite(f[full]):
+        weight = b * _cycle_weights(a, walk)
+        for s, wi, fi in split:
+            f[s] = (weight.take(wi) * f.take(fi)).sum(axis=1)
+    if not np.isfinite(f[-1]):
         raise OverflowError(f"per_b of this {m}x{m} matrix is not finite in double precision")
-    return float(f[full])
+    return float(f[-1])
 
 
 def repeated_matrix(a, selection) -> np.ndarray:
@@ -348,8 +362,8 @@ def vere_jones_check(
     is_b_positive_definite gives for that gamma's tilted kernel alone.
     """
     g = as_matrix(g)
-    if b <= 0.0:
-        raise ValueError("exponent b must be strictly positive")
+    if not 0.0 < b < math.inf:
+        raise ValueError("exponent b must be finite and strictly positive")
     grid = default_gamma_grid() if gamma_grid is None else [float(x) for x in gamma_grid]
     if not grid:
         raise ValueError("gamma grid must be nonempty")

@@ -23,6 +23,17 @@ def _zero_pivots(g: np.ndarray, tol: Tolerance) -> np.ndarray:
     return zero.any(axis=0) | zero.any(axis=1)
 
 
+def _pivot_products(cols: np.ndarray, rows: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """G(i,p) G(p,j) from the columns and rows (k, n') of the 0-based `pivots`;
+    OverflowError naming the first pivot where a product is not finite."""
+    with np.errstate(over="ignore"):
+        outer = cols[:, :, None] * rows[:, None, :]
+    bad = ~np.isfinite(outer).all(axis=(1, 2))
+    if bad.any():
+        raise OverflowError(f"G(i,p) G(p,j) overflows at pivot p = {pivots[bad.argmax()] + 1}")
+    return outer
+
+
 def _pivot_blocks(g: np.ndarray, pivots: np.ndarray):
     """For each 0-based pivot p of `pivots`: the other indices in order,
     shape (k, n-1), G without row and column p and the outer product
@@ -30,7 +41,7 @@ def _pivot_blocks(g: np.ndarray, pivots: np.ndarray):
     step = np.arange(g.shape[0] - 1)
     rest = step + (step >= pivots[:, None])
     cols, rows = g[rest, pivots[:, None]], g[pivots[:, None], rest]
-    return rest, g[rest[:, :, None], rest[:, None, :]], cols[:, :, None] * rows[:, None, :]
+    return rest, g[rest[:, :, None], rest[:, None, :]], _pivot_products(cols, rows, pivots)
 
 
 def _poles(g: np.ndarray, pivots: np.ndarray, sigmas, tol: Tolerance):
@@ -84,8 +95,8 @@ def conditioning_kernel(g, sigma: float, k: int, tol: Tolerance = DEFAULT_TOL) -
 def ratio_matrix(g, p: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pivot ratio matrix with entries G(i,j) / (G(i,p) G(p,j)), 1-based p.
 
-    Requires the pivot column and row to be entrywise nonzero. Entry (p, p)
-    equals 1 / G(p,p).
+    Requires the pivot column and row to be entrywise nonzero, with finite
+    products (see `_pivot_products`). Entry (p, p) equals 1 / G(p,p).
     """
     g = as_matrix(g)
     n = g.shape[0]
@@ -93,7 +104,7 @@ def ratio_matrix(g, p: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise IndexOutOfRange(f"pivot {p} outside 1..{n}")
     if _zero_pivots(g, tol)[p - 1]:
         raise ZeroPivotEntry(_ZERO_NOTE.format(p))
-    return g / np.outer(g[:, p - 1], g[p - 1, :])
+    return g / _pivot_products(g[None, :, p - 1], g[None, p - 1], np.array([p - 1]))[0]
 
 
 @dataclass(frozen=True)
@@ -188,10 +199,10 @@ def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     and, at each sigma of `sigma_grid`, the symmetrizable 3-subsets of the
     conditioning kernel (status "ok") or the pole there (status "pole"). A
     pivot whose row or column has a zero entry carries a "note" and empty
-    lists instead. A nonpositive diagonal at a usable pivot raises
-    ValueError, then the errors of `_poles`. Pivots and non-pole (pivot,
-    sigma) pairs run in stacks of at most 2^16 // C(n-1, 3) matrices, as in
-    _positivity_scans; each kernel is bit for bit conditioning_kernel's.
+    lists instead. Errors: ValueError for a nonpositive diagonal at a usable
+    pivot, then those of `_poles` and `_pivot_products`. Pivots and non-pole
+    (pivot, sigma) pairs run in stacks of at most 2^16 // C(n-1, 3) matrices
+    as in _positivity_scans; each kernel is bit for bit conditioning_kernel's.
     """
     g = as_matrix(g)
     n = g.shape[0]

@@ -6,9 +6,10 @@ Ryser's formula where the dimension is too large for them), a
 power-series recursion for the closed-form transform, and triple-by-triple
 loops for symmetrizability and the conditioning scan, and one whole-array
 pass per line for the Monte Carlo report. Slow and only usable for tiny
-matrices, which is the point. The one exception is the per-gamma route of
-the Vere-Jones check: it calls the library's one-matrix functions gamma by
-gamma, so that the stacked grid can be compared with it bit for bit.
+matrices, which is the point. Two routes are kept for bit-for-bit
+comparison instead: the per-gamma route of the Vere-Jones check, which
+calls the library's one-matrix functions gamma by gamma, and the per-call
+b-permanent, which rebuilds per_b's index tables at every call.
 """
 
 import itertools
@@ -18,12 +19,14 @@ import numpy as np
 
 from permkernel import (
     DEFAULT_TOL,
+    DimensionTooLarge,
     SingularMatrix,
     find_positivity_signature,
     is_b_positive_definite,
     resolvent,
 )
-from permkernel.permanent import GammaScan, VJReport
+from permkernel.matcore import as_matrix
+from permkernel.permanent import MAX_PERMANENT_DIM, GammaScan, VJReport
 
 
 def det_cofactor(a) -> float:
@@ -144,6 +147,61 @@ def vere_jones_per_gamma(g, b: float, grid, max_order: int, tol=DEFAULT_TOL):
     else:
         overall = "inconclusive"
     return VJReport(b, max_order, condition_i, tuple(real), tuple(scans), overall)
+
+
+def _subset_tables(m: int):
+    """Bit table (row T holds the bits of mask T), popcount and lowest set
+    bit of every mask over m indices."""
+    masks = np.arange(1 << m)
+    bits = np.zeros((1 << m, m), dtype=np.uint8)
+    for i in range(m):
+        bits[:, i] = (masks >> i) & 1
+    return bits, bits.sum(axis=1, dtype=np.intp), np.argmax(bits, axis=1)
+
+
+def _cycle_weights(a: np.ndarray, bits, pop, low) -> np.ndarray:
+    """Held-Karp cycle weights C[T] of every index set T (a bitmask), with
+    the all-zero path rows left unextended."""
+    m = a.shape[0]
+    path = np.zeros((1 << m, m))
+    path[1 << np.arange(m), np.arange(m)] = 1.0
+    weight = np.zeros(1 << m)
+    for k in range(1, m + 1):
+        rows = np.flatnonzero(pop == k)
+        rows = rows[path[rows].any(axis=1)]
+        ext = path[rows] @ a
+        weight[rows] = ext[np.arange(len(rows)), low[rows]]
+        r, e = np.nonzero((bits[rows] == 0) & (np.arange(m) > low[rows, None]))
+        path[rows[r] | (1 << e), e] = ext[r, e]
+    return weight
+
+
+def per_b_per_call(a, b: float) -> float:
+    """`per_b` with its index tables rebuilt at every call: the Held-Karp
+    cycle weights, then the "block that contains min(S)" set-partition
+    recurrence, in the library's operation order. Returns the same float
+    and raises the same errors."""
+    a = as_matrix(a)
+    m = a.shape[0]
+    if m > MAX_PERMANENT_DIM:
+        raise DimensionTooLarge(f"b-permanents are capped at m = {MAX_PERMANENT_DIM}")
+    bits, pop, low = _subset_tables(m)
+    full = (1 << m) - 1
+    f = np.zeros(1 << m)
+    f[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = b * _cycle_weights(a, bits, pop, low)
+        for k in range(1, m + 1):
+            s = np.flatnonzero(pop == k)
+            s = s[((s & 1) == 0) | (s == full)]
+            head = 1 << low[s]
+            rest = s ^ head
+            pos = np.nonzero(bits[rest])[1].reshape(len(s), k - 1)
+            sub = (1 << pos) @ bits[: 1 << (k - 1), : k - 1].T
+            f[s] = (weight[sub | head[:, None]] * f[rest[:, None] ^ sub]).sum(axis=1)
+    if not np.isfinite(f[full]):
+        raise OverflowError(f"per_b of this {m}x{m} matrix is not finite in double precision")
+    return float(f[full])
 
 
 def permanent_ryser(a) -> tuple:

@@ -409,6 +409,49 @@ def test_non_finite_grid_value_is_an_input_error(
     assert not caught
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("classify", "--b", "nan", "exponent b must be finite and strictly positive"),
+        ("vere-jones", "--b", "nan", "exponent b must be finite and strictly positive"),
+        ("vere-jones", "--b", "inf", "exponent b must be finite and strictly positive"),
+        ("permanent", "--b", "nan", "exponent b must be finite"),
+        ("permanent", "--b", "inf", "exponent b must be finite"),
+        ("classify", "--zero-tol", "nan", "tolerances must be finite and strictly positive"),
+        ("classify", "--rel-tol", "inf", "tolerances must be finite and strictly positive"),
+    ],
+)
+def test_non_finite_exponent_or_tolerance_is_an_input_error(
+    tmp_path, capsys, command, flag, value, message
+):
+    # before any arithmetic: no NaN or Infinity token and no overflow report
+    path = write_fixture(tmp_path, one_symmetrizable_triple())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--input", path, f"{flag}={value}", "--deterministic"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error in {command}: {message}\n"
+    assert not caught
+
+
+def test_overflowed_pivot_products_are_a_one_line_numerical_failure(tmp_path, capsys):
+    # G(i,p) G(p,j) is about 1e320 at every pivot; the tiny sigma keeps the
+    # pole test finite, so the products are the first thing to overflow
+    path = write_fixture(tmp_path, 1e160 * one_symmetrizable_triple())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["reduce-scan", "--input", path, "--sigma-grid", "1e-170"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical failure in reduce-scan: OverflowError: G(i,p) G(p,j) overflows at pivot p = 1\n"
+    )
+    assert not caught
+
+
 def test_mc_verify_underflowed_denominator_is_a_one_line_numerical_failure(tmp_path, capsys):
     # every conditioning denominator exp(-sigma psi_n / 2) underflows to 0
     path = write_fixture(tmp_path, [[1e12, 2e11], [2e11, 1e12]])

@@ -4,7 +4,8 @@ The files under tests/golden/ hold the JSON report of each case below (and
 the text table of reproduce-paper). Parsed documents must agree exactly on
 strings, bools, ints, nulls and list/dict shapes; floats may differ by a
 relative 1e-12 so that a different BLAS cannot break the lock. The text
-table is compared byte for byte.
+table is compared byte for byte. Documents are parsed as strict JSON: a NaN
+or Infinity token in a report fails its case.
 
 `python3 tests/test_golden.py` rewrites every golden file from the current
 code; run it only when a change of output is intended. The CLI writes JSON
@@ -91,10 +92,17 @@ def run_case(name: str, directory: Path) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def parse(text: str):
+    """A JSON document as the standard defines it (no NaN or Infinity)."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def assert_same(got, want, where: str = "$") -> None:
     if isinstance(want, float) and isinstance(got, float):
-        if math.isnan(want) and math.isnan(got):
-            return
         assert math.isclose(got, want, rel_tol=REL_TOL), f"{where}: {got!r} != {want!r}"
         return
     assert type(got) is type(want), f"{where}: {type(got).__name__} != {type(want).__name__}"
@@ -118,7 +126,7 @@ def test_golden(name, tmp_path):
     if name.endswith(".txt"):
         assert out == recorded
     else:
-        assert_same(json.loads(out), json.loads(recorded))
+        assert_same(parse(out), parse(recorded))
 
 
 def test_float_tolerance_is_relative():
@@ -131,6 +139,13 @@ def test_float_tolerance_is_relative():
         assert_same([True], [1])
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_tokens_are_not_json(token):
+    assert parse('{"x": [1.5]}') == {"x": [1.5]}
+    with pytest.raises(ValueError, match=f"{token} is not a JSON number"):
+        parse(f'{{"x": [1.5, {token}]}}')
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -141,6 +156,6 @@ if __name__ == "__main__":
             if code != 0:
                 sys.exit(f"{case}: exit code {code}")
             if case.endswith(".json"):
-                text = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+                text = json.dumps(parse(text), indent=2, sort_keys=True) + "\n"
             (GOLDEN / case).write_text(text)
             print(f"wrote {case}", file=sys.stderr)

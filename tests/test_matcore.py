@@ -286,6 +286,12 @@ def test_tolerance_validation():
         Tolerance(zero_tol=0.0)
     with pytest.raises(ValueError):
         Tolerance(rel_tol=-1e-9)
+    # an infinite rel_tol makes every close() test true, a NaN one every test false
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            Tolerance(zero_tol=value)
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            Tolerance(rel_tol=value)
 
 
 def test_threshold_floors_the_scale_at_one():

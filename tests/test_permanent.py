@@ -3,7 +3,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from permkernel.gallery import blockwise_inverse_m
 from oracles import (
     det_cofactor,
     per_b_bruteforce,
+    per_b_per_call,
     permanent_bruteforce,
     permanent_ryser,
     positivity_scan_bruteforce,
@@ -138,6 +143,83 @@ def test_per_b_scratch_memory_at_the_dimension_cap():
         tracemalloc.stop()
     # the recurrence never holds all 3^12 (set, block) pairs at once
     assert peak <= 2 * 1024 * 1024
+
+
+def plan_arrays(m):
+    walk, split = permanent._per_b_plan(m)
+    return list(itertools.chain.from_iterable(walk + split))
+
+
+def test_per_b_is_the_per_call_recurrence_bit_for_bit():
+    # the cached plan only moves index arithmetic out of the call: every
+    # product and sum is the per-call route's, so the floats are identical,
+    # sign of zero included
+    rng = np.random.default_rng(23)
+    for trial in range(360):
+        m = int(rng.integers(1, 13))
+        a = rng.uniform(-1.0, 1.0, (m, m))
+        if trial % 3 == 1:
+            a.ravel()[rng.permutation(m * m)[: int(rng.uniform(0.3, 0.7) * m * m)]] = 0.0
+        elif trial % 3 == 2:
+            a[rng.integers(m)] = 0.0
+        for b in (-1.0, 1.0, float(rng.uniform(0.05, 3.0))):
+            got, want = per_b(a, b), per_b_per_call(a, b)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
+                trial, m, b, got, want,
+            )
+
+
+@pytest.mark.parametrize("m, scale", [(2, 1e160), (5, 1e70), (12, 1e30)])
+def test_per_b_overflows_where_the_per_call_recurrence_does(m, scale):
+    a = scale * np.random.default_rng(m).uniform(0.5, 1.0, (m, m))
+    for b in (-1.0, 0.5, 1.0):
+        with pytest.raises(OverflowError, match=f"{m}x{m}"):
+            per_b(a, b)
+        with pytest.raises(OverflowError, match=f"{m}x{m}"):
+            per_b_per_call(a, b)
+
+
+def test_per_b_plan_is_built_once_per_size_and_read_only():
+    permanent._per_b_plan.cache_clear()
+    rng = np.random.default_rng(5)
+    for m in (6, 6, 9, 6, 9):
+        per_b(rng.uniform(-1.0, 1.0, (m, m)), 0.5)
+    info = permanent._per_b_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
+    assert info.maxsize == permanent.MAX_PERMANENT_DIM
+    for array in plan_arrays(9):
+        assert array.dtype == np.intp
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+def test_per_b_plan_is_not_built_at_import():
+    code = "import permkernel; print(permkernel.permanent._per_b_plan.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(permanent.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out == "0\n"
+
+
+def test_per_b_plan_memory_at_the_dimension_cap():
+    permanent._per_b_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        permanent._per_b_plan(12)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(array.nbytes for array in plan_arrays(12)) <= held <= 2.5 * 1024 * 1024
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_non_finite_exponent_is_an_input_error(b):
+    with pytest.raises(ValueError, match="exponent b must be finite"):
+        per_b(np.eye(3), b)
+    with pytest.raises(ValueError, match="exponent b must be finite"):
+        vere_jones_check(np.eye(3), b, gamma_grid=[1.0])
 
 
 def test_per_b_dimension_cap():

@@ -15,6 +15,7 @@ from permkernel import (
     is_symmetrizable_3x3,
     johnson_smith_inverse_m,
     ratio_matrix,
+    reduce_scan,
     resolvent,
     schur_complement,
     symmetrizability_breakpoints,
@@ -81,6 +82,18 @@ def test_ratio_matrix():
         ratio_matrix(bad, 4)
     with pytest.raises(IndexOutOfRange):
         ratio_matrix(g, 0)
+
+
+def test_overflowed_pivot_products_raise():
+    # every G(i,p) G(p,j) is about 1e320: a silent inf would corrupt the ratios
+    # and kernels, so each route names the pivot instead
+    g = 1e160 * one_symmetrizable_triple()
+    with pytest.raises(OverflowError, match="at pivot p = 2"):
+        ratio_matrix(g, 2)
+    with pytest.raises(OverflowError, match="at pivot p = 3"):
+        conditioning_kernel(g, 1e-170, 3)
+    with pytest.raises(OverflowError, match="at pivot p = 1"):
+        reduce_scan(g, [1e-170])
 
 
 def test_breakpoints_symmetric_block_is_degenerate():
