@@ -276,13 +276,7 @@ def classify_kernel(
     """
     g = as_matrix(g)
     n = g.shape[0]
-    thr = tol.threshold(g)
-    zero_pattern = tuple(
-        (i + 1, j + 1)
-        for i in range(n)
-        for j in range(n)
-        if abs(g[i, j]) <= thr
-    )
+    zero_pattern = tuple(map(tuple, (np.argwhere(np.abs(g) <= tol.threshold(g)) + 1).tolist()))
     signature = find_positivity_signature(g, tol)
     inv = _inverse_or_none(g, tol)
     id_signature = _inverse_m_signature(g, signature, inv, tol)

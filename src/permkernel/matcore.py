@@ -69,22 +69,22 @@ def as_matrix(entries) -> np.ndarray:
     return a
 
 
-def as_signature(signs, n: int | None = None) -> np.ndarray:
-    """Coerce to a vector with entries exactly -1 or +1."""
+def as_signature(signs, n: int) -> np.ndarray:
+    """Coerce to a length-n vector with entries exactly -1 or +1."""
     s = np.array(signs, dtype=float).ravel()
     if s.size == 0 or not np.all(np.isin(s, (-1.0, 1.0))):
         raise ValueError("signature entries must be -1 or +1")
-    if n is not None and s.size != n:
+    if s.size != n:
         raise DimensionMismatch(f"signature has length {s.size}, expected {n}")
     return s
 
 
-def as_scaling(diag, n: int | None = None) -> np.ndarray:
-    """Coerce to a strictly positive diagonal-scaling vector."""
+def as_scaling(diag, n: int) -> np.ndarray:
+    """Coerce to a length-n strictly positive diagonal-scaling vector."""
     d = np.array(diag, dtype=float).ravel()
     if d.size == 0 or not np.all(np.isfinite(d)) or np.any(d <= 0.0):
         raise ValueError("diagonal scaling entries must be strictly positive")
-    if n is not None and d.size != n:
+    if d.size != n:
         raise DimensionMismatch(f"scaling has length {d.size}, expected {n}")
     return d
 
@@ -191,19 +191,18 @@ def _minors_of_size(a: np.ndarray, m: int) -> np.ndarray:
         return np.linalg.det(sub.reshape(-1, m, m)).reshape(sub.shape[:-2])
 
 
-def _minors(a: np.ndarray, max_size: int | None = None):
-    """Yield (size, subsets, minors) for each subset size up to max_size,
-    smallest first, with one batched determinant per size. Row i of
-    `subsets` holds the 0-based indices of the i-th subset in
-    itertools.combinations order, and minors[i] is its principal minor.
-    Enumerating all 2^n - 1 minors is refused above n = 16."""
+def _minors(a: np.ndarray):
+    """Yield (size, subsets, minors) for each subset size, smallest first,
+    with one batched determinant per size. Row i of `subsets` holds the
+    0-based indices of the i-th subset in itertools.combinations order, and
+    minors[i] is its principal minor. Enumerating all 2^n - 1 minors is
+    refused above n = 16."""
     n = a.shape[0]
-    if max_size is None and n > MAX_ENUMERATION_DIM:
+    if n > MAX_ENUMERATION_DIM:
         raise DimensionTooLarge(
             f"principal-minor enumeration is capped at n = {MAX_ENUMERATION_DIM}"
         )
-    top = n if max_size is None else min(max_size, n)
-    for m in range(1, top + 1):
+    for m in range(1, n + 1):
         yield m, subset_table(n, m), _minors_of_size(a, m)
 
 

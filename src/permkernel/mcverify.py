@@ -61,8 +61,8 @@ def _as_alphas(alphas, n: int) -> np.ndarray:
     al = np.asarray(alphas, dtype=float).ravel()
     if al.size != n:
         raise DimensionMismatch(f"alphas has length {al.size}, expected {n}")
-    if np.any(al < 0.0):
-        raise ValueError("alphas must be nonnegative")
+    if not np.all((al >= 0.0) & (al < math.inf)):
+        raise ValueError("alphas must be finite and nonnegative")
     return al
 
 
@@ -214,12 +214,12 @@ def empirical_laplace(batch: SampleBatch, alphas) -> LTEstimate:
     return _Moments.of(batch.draws, al[:, None]).estimate(0)
 
 
-def closed_form_laplace(g, alphas, b: float = 0.5) -> float:
+def closed_form_laplace(g, alphas, b: float = MC_B) -> float:
     """det(I + diag(alphas) G)^{-b}."""
     g = as_matrix(g)
     al = _as_alphas(alphas, g.shape[0])
-    if b <= 0.0:
-        raise ValueError("exponent b must be strictly positive")
+    if not 0.0 < b < math.inf:
+        raise ValueError("exponent b must be finite and strictly positive")
     det = float(np.linalg.det(np.eye(g.shape[0]) + al[:, None] * g))
     if det <= 0.0:
         raise NonpositiveDeterminant(f"det(I + alpha G) = {det} is not positive")
@@ -261,7 +261,7 @@ def verify_conditioning(
     al = _as_alphas(alphas, n - 1)
     moments = _Moments.of(batch.draws, _conditioning_exponents(al, sigma))
     kernel = conditioning_kernel(g, sigma, n, tol)
-    rhs = closed_form_laplace(kernel, al, 0.5)
+    rhs = closed_form_laplace(kernel, al, MC_B)
     return ConditioningCheck(lhs=moments.estimate(0, 1), rhs=float(rhs))
 
 
@@ -317,6 +317,6 @@ def laplace_report(
     if n < 2:
         return lines, None
     kernel = conditioning_kernel(g, sigma, n, tol)
-    rhs = closed_form_laplace(kernel, cond_alphas, 0.5)
+    rhs = closed_form_laplace(kernel, cond_alphas, MC_B)
     check = _report_line(moments.estimate(k - 2, k - 1), rhs, sigma=sigma, alphas=cond_alphas)
     return lines, check

@@ -72,14 +72,12 @@ def _cycle_weights(a: np.ndarray, walk) -> np.ndarray:
     Held-Karp: path[T, e] sums the products along the paths that start at
     min(T), visit all of T and end at e. One product with A extends every
     path by an edge; the edge back to min(T) closes it into a cycle and
-    gives C[T]. Path rows that are all zero are not extended.
+    gives C[T].
     """
     m = a.shape[0]
     path, weight = np.eye(m), np.zeros(1 << m)  # one path table per |T|; row i is {i}
     for k, (rows, close, src, dst) in enumerate(walk, start=1):
-        live = path.any(axis=1)
-        ext = np.zeros((len(rows), m))
-        ext[live] = path[live] @ a
+        ext = path @ a
         weight[rows] = ext.take(close)
         path = np.zeros((math.comb(m, k + 1), m))
         path.put(dst, ext.take(src))

@@ -9,7 +9,8 @@ pass per line for the Monte Carlo report. Slow and only usable for tiny
 matrices, which is the point. Two routes are kept for bit-for-bit
 comparison instead: the per-gamma route of the Vere-Jones check, which
 calls the library's one-matrix functions gamma by gamma, and the per-call
-b-permanent, which rebuilds per_b's index tables at every call.
+b-permanent, which rebuilds per_b's index tables at every call and, unlike
+per_b, leaves all-zero Held-Karp path rows unextended.
 """
 
 import itertools
@@ -174,6 +175,13 @@ def _cycle_weights(a: np.ndarray, bits, pop, low) -> np.ndarray:
         r, e = np.nonzero((bits[rows] == 0) & (np.arange(m) > low[rows, None]))
         path[rows[r] | (1 << e), e] = ext[r, e]
     return weight
+
+
+def cycle_weights_per_call(a) -> np.ndarray:
+    """The Held-Karp cycle weights of per_b_per_call, with the tables
+    rebuilt and the all-zero path rows left unextended."""
+    a = as_matrix(a)
+    return _cycle_weights(a, *_subset_tables(a.shape[0]))
 
 
 def per_b_per_call(a, b: float) -> float:

@@ -220,6 +220,19 @@ def test_zero_pattern_reported():
     assert report.zero_pattern == ((1, 2),)
 
 
+def test_zero_pattern_is_row_major_and_includes_the_threshold():
+    g = np.random.default_rng(17).uniform(0.5, 2.0, (5, 5))
+    g[2, 2] = 4.0  # the threshold is zero_tol * max|G|
+    thr = Tolerance().zero_tol * 4.0
+    for i, j in ((3, 4), (0, 2), (4, 1), (1, 0)):
+        g[i, j] = 0.0
+    g[2, 3], g[4, 3] = thr, -thr
+    g[0, 4] = np.nextafter(thr, 1.0)
+    report = classify_kernel(g, gamma_grid=SMALL_GRID, max_order=3)
+    assert report.zero_pattern == ((1, 3), (2, 1), (3, 4), (4, 5), (5, 2), (5, 4))
+    assert all(type(k) is int for ij in report.zero_pattern for k in ij)
+
+
 def test_verdicts_invariant_under_signature_and_scaling():
     rng = np.random.default_rng(13)
     tol = Tolerance()

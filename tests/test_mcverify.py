@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,30 @@ def test_closed_form_laplace_values():
         closed_form_laplace(np.array([[-2.0]]), [1.0], 0.5)
     with pytest.raises(ValueError):
         closed_form_laplace(np.eye(2), (1.0, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_non_finite_exponent_is_an_input_error(b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="exponent b must be finite and strictly positive"):
+            closed_form_laplace(np.eye(2), (1.0, 1.0), b)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_alphas_are_an_input_error(bad):
+    g = np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    batch = sample_squared_gaussian(g, 100, seed=0)
+    calls = (
+        lambda: closed_form_laplace(g, (0.5, bad, 0.5)),
+        lambda: empirical_laplace(batch, (0.5, bad, 0.5)),
+        lambda: verify_conditioning(batch, g, 1.0, (bad, 0.5)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="alphas must be finite and nonnegative"):
+                call()
 
 
 def test_closed_form_monotone_in_each_alpha_for_nonnegative_kernels():

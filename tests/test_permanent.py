@@ -26,6 +26,7 @@ from permkernel import gallery, permanent
 from permkernel.gallery import blockwise_inverse_m
 
 from oracles import (
+    cycle_weights_per_call,
     det_cofactor,
     per_b_bruteforce,
     per_b_per_call,
@@ -151,9 +152,24 @@ def plan_arrays(m):
 
 
 def test_per_b_is_the_per_call_recurrence_bit_for_bit():
-    # the cached plan only moves index arithmetic out of the call: every
-    # product and sum is the per-call route's, so the floats are identical,
-    # sign of zero included
+    # per_b_per_call rebuilds the index tables at every call and leaves
+    # all-zero path rows unextended; per_b must give the same floats, sign
+    # of zero included. A nonzero cycle weight may differ in its last bit,
+    # since a row's product with A can round differently beside another
+    # number of rows (seen only where A has a zero row or column, so that
+    # per_b is 0 anyway), but the zero weights must be the same sets, each
+    # +0.0 as if never multiplied
+    def check(rng, trial, a):
+        weight = permanent._cycle_weights(a, permanent._per_b_plan(a.shape[0])[0])
+        zero = weight == 0.0
+        assert np.array_equal(zero, cycle_weights_per_call(a) == 0.0), (trial, a.shape[0])
+        assert not np.signbit(weight[zero]).any(), (trial, a.shape[0])
+        for b in (-1.0, 1.0, float(rng.uniform(0.05, 3.0))):
+            got, want = per_b(a, b), per_b_per_call(a, b)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
+                trial, a.shape[0], b, got, want,
+            )
+
     rng = np.random.default_rng(23)
     for trial in range(360):
         m = int(rng.integers(1, 13))
@@ -162,11 +178,24 @@ def test_per_b_is_the_per_call_recurrence_bit_for_bit():
             a.ravel()[rng.permutation(m * m)[: int(rng.uniform(0.3, 0.7) * m * m)]] = 0.0
         elif trial % 3 == 2:
             a[rng.integers(m)] = 0.0
-        for b in (-1.0, 1.0, float(rng.uniform(0.05, 3.0))):
-            got, want = per_b(a, b), per_b_per_call(a, b)
-            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
-                trial, m, b, got, want,
-            )
+        check(rng, trial, a)
+    # shapes whose zero path rows meet negative entries, where -0.0
+    # products appear: a zero column, a zero row beside an all-negative
+    # column, and nonpositive sparse input
+    rng = np.random.default_rng(25)
+    for trial in range(240):
+        m = int(rng.integers(1, 13))
+        a = rng.uniform(-1.0, 1.0, (m, m))
+        i = int(rng.integers(m))
+        if trial % 3 == 0:
+            a[:, i] = 0.0
+        elif trial % 3 == 1:
+            a[:, (i + 1) % m] = -np.abs(a[:, (i + 1) % m])
+            a[i] = 0.0
+        else:
+            a = -np.abs(a)
+            a.ravel()[rng.permutation(m * m)[: int(rng.uniform(0.4, 0.75) * m * m)]] = 0.0
+        check(rng, trial, a)
 
 
 @pytest.mark.parametrize("m, scale", [(2, 1e160), (5, 1e70), (12, 1e30)])
