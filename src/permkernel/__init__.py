@@ -16,7 +16,6 @@ from .classify import (
     KernelReport,
     classify_kernel,
     count_symmetrizable_3subsets,
-    find_positivity_signature,
     is_diag_equiv_inverse_m,
     is_diag_equiv_symmetric,
     is_inverse_m_matrix,
@@ -45,6 +44,7 @@ from .matcore import (
     determinant,
     diagonal_conjugate,
     effectively_equivalent,
+    find_positivity_signature,
     inverse,
     principal_minors,
     principal_submatrix,

@@ -22,19 +22,6 @@ from .matcore import (
 )
 from .permanent import VJReport, vere_jones_check
 
-__all__ = [
-    "KernelReport",
-    "classify_kernel",
-    "count_symmetrizable_3subsets",
-    "find_positivity_signature",
-    "is_diag_equiv_inverse_m",
-    "is_diag_equiv_symmetric",
-    "is_inverse_m_matrix",
-    "is_m_matrix",
-    "is_symmetrizable_3x3",
-    "willoughby_inequality",
-]
-
 THEOREM_ID = "hypotheses-met-ID"
 THEOREM_NOT_KERNEL = "hypotheses-met-not-kernel"
 THEOREM_NA = "not-applicable"

@@ -29,7 +29,6 @@ import sys
 import numpy as np
 
 from .classify import classify_kernel
-from .errors import MatrixError
 from .gallery import reproduce_paper
 from .matcore import DEFAULT_TOL, Tolerance
 from .matrixio import load_matrix
@@ -216,7 +215,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error reading input: {exc}", file=sys.stderr)
         return 1
-    except (MatrixError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

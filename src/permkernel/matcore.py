@@ -19,6 +19,8 @@ from .errors import (
 )
 
 MAX_ENUMERATION_DIM = 16
+# Entries one stacked gather may hold (scan plan pairs or triples x matrices)
+STACK_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,11 @@ def as_scaling(diag, n: int) -> np.ndarray:
     return d
 
 
-def det(a: np.ndarray) -> float:
-    """np.linalg.det without the divide-by-zero warning on singular input."""
+def det(a: np.ndarray):
+    """np.linalg.det of a matrix or of each matrix of a stack (..., n, n),
+    without its divide-by-zero and invalid warnings on singular input."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.linalg.det(a))
+        return np.linalg.det(a)
 
 
 def close(a, b, rel_tol: float):
@@ -102,7 +105,7 @@ def close(a, b, rel_tol: float):
 
 def determinant(a) -> float:
     """det(A) via pivoted LU elimination."""
-    return det(as_matrix(a))
+    return float(det(as_matrix(a)))
 
 
 def inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -122,9 +125,7 @@ def _resolvents(g: np.ndarray, sigmas, tol: Tolerance) -> tuple[np.ndarray, np.n
     determinant and one batched solve serve the whole sequence.
     """
     m = np.eye(g.shape[0]) + np.asarray(sigmas, dtype=float)[:, None, None] * g
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dets = np.linalg.det(m)
-    poles = np.abs(dets) <= tol.threshold(m, axis=(1, 2))
+    poles = np.abs(det(m)) <= tol.threshold(m, axis=(1, 2))
     return poles, np.linalg.solve(m[~poles], g)
 
 
@@ -135,8 +136,8 @@ def resolvent(g, sigma: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     signals that -1/sigma is an eigenvalue of G.
     """
     g = as_matrix(g)
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     poles, tilted = _resolvents(g, [sigma], tol)
     if poles[0]:
         raise SingularMatrix(f"I + {sigma}*G is numerically singular")
@@ -187,8 +188,7 @@ def _minors_of_size(a: np.ndarray, m: int) -> np.ndarray:
     stack."""
     z = subset_table(a.shape[-1], m)
     sub = a[..., z[:, :, None], z[:, None, :]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.linalg.det(sub.reshape(-1, m, m)).reshape(sub.shape[:-2])
+    return det(sub.reshape(-1, m, m)).reshape(sub.shape[:-2])
 
 
 def _minors(a: np.ndarray):

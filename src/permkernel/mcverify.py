@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonpositiveDeterminant, NotPSD, NotSymmetric
-from .matcore import DEFAULT_TOL, Tolerance, as_matrix
+from .matcore import DEFAULT_TOL, Tolerance, as_matrix, det
 from .reductions import conditioning_kernel
 
 # Draws are squared Gaussians, whose transform exponent is 1/2.
@@ -220,10 +220,10 @@ def closed_form_laplace(g, alphas, b: float = MC_B) -> float:
     al = _as_alphas(alphas, g.shape[0])
     if not 0.0 < b < math.inf:
         raise ValueError("exponent b must be finite and strictly positive")
-    det = float(np.linalg.det(np.eye(g.shape[0]) + al[:, None] * g))
-    if det <= 0.0:
-        raise NonpositiveDeterminant(f"det(I + alpha G) = {det} is not positive")
-    return det**-b
+    value = float(det(np.eye(g.shape[0]) + al[:, None] * g))
+    if value <= 0.0:
+        raise NonpositiveDeterminant(f"det(I + alpha G) = {value} is not positive")
+    return value**-b
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,8 @@ def verify_conditioning(
         raise DimensionMismatch(f"draws have dimension {batch.n}, expected {n}")
     if n < 2:
         raise ValueError("conditioning needs dimension at least 2")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be strictly positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and strictly positive")
     al = _as_alphas(alphas, n - 1)
     moments = _Moments.of(batch.draws, _conditioning_exponents(al, sigma))
     kernel = conditioning_kernel(g, sigma, n, tol)

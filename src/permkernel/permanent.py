@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DimensionTooLarge, IndexOutOfRange
 from .matcore import (
     DEFAULT_TOL,
+    STACK_BUDGET,
     Tolerance,
     _minors_of_size,
     _positivity_signatures,
@@ -200,10 +201,10 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
     same order as for one matrix alone, so the values do not depend on the
     stack. A matrix whose level has a value below its threshold leaves the
     stack with the first such multiset as its witness, and no larger
-    minors of it are computed. At most 2^16 // (pairs in the top level's
-    plan) matrices are stacked, so that a gather holds about 2^16 entries
-    or one matrix's plan: a small plan takes a whole gamma grid, an
-    order-8 scan at n = 8 one matrix at a time.
+    minors of it are computed. At most STACK_BUDGET // (pairs in the top
+    level's plan) matrices are stacked, so that a gather holds about
+    STACK_BUDGET entries or one matrix's plan: a small plan takes a whole
+    gamma grid, an order-8 scan at n = 8 one matrix at a time.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -212,7 +213,7 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
             f"multiset scan is capped at order {MAX_POSITIVITY_ORDER}"
         )
     n = stack.shape[-1]
-    width = max(1, 2**16 // _plan_pairs(n, max_order))
+    width = max(1, STACK_BUDGET // _plan_pairs(n, max_order))
     if len(stack) > width:
         return [
             scan
@@ -274,9 +275,12 @@ def is_b_positive_definite(
     turn, each multiset in itertools.combinations_with_replacement order,
     one nondecreasing representative per multiset (per_b is invariant under
     simultaneous relabeling). The first value below -tol.threshold(A, d) is
-    the witness; a threshold that overflows raises OverflowError. This is
-    the one-matrix case of the stacked scan vere_jones_check runs.
+    the witness; a threshold that overflows raises OverflowError, and a
+    non-finite b raises ValueError. This is the one-matrix case of the
+    stacked scan vere_jones_check runs.
     """
+    if not math.isfinite(b):
+        raise ValueError("exponent b must be finite")
     return _positivity_scans(as_matrix(a)[None], b, max_order, tol)[0]
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, MatrixError, PoleAtSigma, SingularBlock, ZeroPivotEntry
-from .matcore import DEFAULT_TOL, Tolerance, as_matrix, det
+from .matcore import DEFAULT_TOL, STACK_BUDGET, Tolerance, as_matrix, det
 from .classify import _symmetrizable, is_inverse_m_matrix, three_cycles, triple_table
 
 _ZERO_NOTE = "pivot row/column {0} has a zero entry"
@@ -46,9 +46,10 @@ def _pivot_blocks(g: np.ndarray, pivots: np.ndarray):
 
 def _poles(g: np.ndarray, pivots: np.ndarray, sigmas, tol: Tolerance):
     """Poles (k, s), where |1 + sigma G(p,p)| <= tol.threshold(|sigma| max(1,
-    max|G|)), and the other pairs' pivots and sigma / (1 + sigma G(p,p)).
-    ValueError for a non-finite sigma, OverflowError where sigma G(p,p) or
-    |sigma| max|G| overflows (against inf every denominator is a pole)."""
+    max|G|)), and the other pairs' positions in `pivots` and sigma / (1 +
+    sigma G(p,p)). ValueError for a non-finite sigma, OverflowError where
+    sigma G(p,p) or |sigma| max|G| overflows (against inf every denominator
+    is a pole)."""
     sig = np.asarray(sigmas, dtype=float)
     if not np.isfinite(sig).all():
         raise ValueError("sigma values must be finite")
@@ -62,12 +63,12 @@ def _poles(g: np.ndarray, pivots: np.ndarray, sigmas, tol: Tolerance):
     denom = 1.0 + terms
     poles = np.abs(denom) <= tol.threshold(scale, axis=())  # axis=(): one per sigma
     pi, si = np.nonzero(~poles)
-    return poles, pivots[pi], sig[si] / denom[pi, si]
+    return poles, pi, sig[si] / denom[pi, si]
 
 
-def _conditioning_kernels(g: np.ndarray, pivots: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """sub - coef * outer (see `_pivot_blocks`) per pivot and `_poles` coefficient."""
-    _, sub, outer = _pivot_blocks(g, pivots)
+def _conditioning_kernels(sub: np.ndarray, outer: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """sub - coef * outer per pair: the `_pivot_blocks` of each pair's pivot
+    and its `_poles` coefficient."""
     return sub - coefs[:, None, None] * outer
 
 
@@ -86,10 +87,11 @@ def conditioning_kernel(g, sigma: float, k: int, tol: Tolerance = DEFAULT_TOL) -
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"pivot {k} outside 1..{n}")
     pivots = np.array([k - 1])
-    poles, pivots, coefs = _poles(g, pivots, [sigma], tol)
+    poles, _, coefs = _poles(g, pivots, [sigma], tol)
     if poles[0, 0]:
         raise PoleAtSigma(_POLE_NOTE.format(k, sigma))
-    return _conditioning_kernels(g, pivots, coefs)[0]
+    _, sub, outer = _pivot_blocks(g, pivots)
+    return _conditioning_kernels(sub, outer, coefs)[0]
 
 
 def ratio_matrix(g, p: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -126,6 +128,8 @@ class BreakpointSet:
 
 def _interval_end(pivot_diag: float) -> float:
     """1 / pivot_diag, the upper end of the breakpoint interval."""
+    if not np.isfinite(pivot_diag):
+        raise ValueError("pivot_diag must be finite")
     if pivot_diag <= 0.0:
         raise ValueError("pivot_diag must be strictly positive")
     return 1.0 / pivot_diag
@@ -201,8 +205,8 @@ def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     pivot whose row or column has a zero entry carries a "note" and empty
     lists instead. Errors: ValueError for a nonpositive diagonal at a usable
     pivot, then those of `_poles` and `_pivot_products`. Pivots and non-pole
-    (pivot, sigma) pairs run in stacks of at most 2^16 // C(n-1, 3) matrices
-    as in _positivity_scans; each kernel is bit for bit conditioning_kernel's.
+    (pivot, sigma) pairs run in stacks of at most STACK_BUDGET // C(n-1, 3)
+    matrices, on pivot blocks built once; each kernel is bit for bit conditioning_kernel's.
     """
     g = as_matrix(g)
     n = g.shape[0]
@@ -211,19 +215,19 @@ def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     unusable = _zero_pivots(g, tol)
     usable = np.flatnonzero(~unusable)
     hi = np.array([_interval_end(g[p, p]) for p in usable])
-    poles, pair_pivots, coefs = _poles(g, usable, sigma_grid, tol)
+    poles, pairs, coefs = _poles(g, usable, sigma_grid, tol)
+    rest, sub, outer = _pivot_blocks(g, usable)
     triples = triple_table(n - 1)[0]
-    width = max(1, 2**16 // len(triples))
+    width = max(1, STACK_BUDGET // len(triples))
     found, subsets = [], []  # breakpoint entries per usable pivot, subsets per pair
     for part in (slice(start, start + width) for start in range(0, len(usable), width)):
-        rest, sub, outer = _pivot_blocks(g, usable[part])
-        flags, roots = _breakpoints(sub / outer, hi[part], tol)
+        flags, roots = _breakpoints(sub[part] / outer[part], hi[part], tol)
         found += [
             [{"triple": t, "values": v, "degenerate": f} for t, v, f in zip(*entry)]
-            for entry in zip((rest[:, triples] + 1).tolist(), roots, flags)
+            for entry in zip((rest[part][:, triples] + 1).tolist(), roots, flags)
         ]
     for part in (slice(start, start + width) for start in range(0, len(coefs), width)):
-        kernels = _conditioning_kernels(g, pair_pivots[part], coefs[part])
+        kernels = _conditioning_kernels(sub[pairs[part]], outer[pairs[part]], coefs[part])
         subsets += [(triples[mask] + 1).tolist() for mask in _symmetrizable(kernels, tol)]
     found, subsets, pivots = iter(zip(found, poles.tolist())), iter(subsets), []
     for pivot, skip in enumerate(unusable.tolist(), 1):
@@ -309,14 +313,14 @@ def johnson_smith_inverse_m(
     h = as_matrix(h)
     h11, h12, h21, h22 = _blocks(h, split)
     over_h11 = schur_complement(h, "upper-left", split, tol)
-    over_h22 = schur_complement(h, "lower-right", split, tol)
+    h22_inv_h21 = _solve_block(h22, h21, "H22", tol)
+    over_h22 = h11 - h12 @ h22_inv_h21  # schur_complement(h, "lower-right", split, tol)
 
     if not is_inverse_m_matrix(over_h11, tol):
         return JohnsonSmithResult(False, "i")
     if not is_inverse_m_matrix(over_h22, tol):
         return JohnsonSmithResult(False, "ii")
 
-    h22_inv_h21 = _solve_block(h22, h21, "H22", tol)
     over22_inv = np.linalg.inv(over_h22)  # nonsingular: it passed inverse-M above
     lower_left = h22_inv_h21 @ over22_inv
     if lower_left.min() < -tol.threshold(lower_left):

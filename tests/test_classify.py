@@ -293,3 +293,83 @@ def test_trichotomy_sampling_recorded():
             escapes += 1
     print(f"trichotomy: {surviving} survivors, {escapes} scan escapes")
     assert surviving > 0
+
+
+def _cert_kernel(rng, n):
+    """Inverse M-matrix under a positive diagonal and a +-1 signature."""
+    off = rng.uniform(0.1, 1.0, (n, n))
+    np.fill_diagonal(off, 0.0)
+    inv_m = np.linalg.inv(1.3 * max(abs(np.linalg.eigvals(off))) * np.eye(n) - off)
+    d = rng.uniform(0.5, 2.0, n)
+    s = np.concatenate(([1.0], rng.choice([-1.0, 1.0], n - 1)))
+    return inv_m * np.outer(d, 1.0 / d) * np.outer(s, s)
+
+
+def _positive_kernel(rng, n):
+    """Entrywise positive and diagonally heavy."""
+    return rng.uniform(0.1, 1.0, (n, n)) + np.diag(rng.uniform(0.3, 1.0, n) * n)
+
+
+def _negative_cycle_kernel(rng, n):
+    """Positive diagonal with one 2-cycle G_ij G_ji < -G_ii G_jj."""
+    g = _positive_kernel(rng, n)
+    i, j = rng.choice(n, 2, replace=False)
+    scale = np.sqrt(g[i, i] * g[j, j])
+    g[i, j], g[j, i] = rng.uniform(1.0, 2.0) * scale, -rng.uniform(1.0, 2.0) * scale
+    return g
+
+
+def _broken_symmetrizable_kernel(rng, n):
+    """Diagonally symmetrizable but for one entry: exactly the triples
+    without that entry's pair stay symmetrizable."""
+    sym = rng.uniform(0.1, 1.0, (n, n))
+    sym = sym + sym.T + np.diag(rng.uniform(0.3, 1.0, n) * n)
+    g = diagonal_conjugate(sym, rng.uniform(0.5, 2.0, n))
+    i, j = rng.choice(n, 2, replace=False)
+    g[i, j] *= 1.5
+    return g
+
+
+def _scan_verdicts(report):
+    vj = report.vere_jones
+    scans = [(scan.status, scan.signature_certificate) for scan in vj.gamma_scans]
+    return report.theorem1, report.m_class, vj.overall, vj.condition_i, scans
+
+
+def test_classify_kernel_is_invariant_under_permutation_and_transpose():
+    # witnesses are not compared: the first failing multiset moves with the labels
+    rng = np.random.default_rng(2604)
+    inputs = [
+        blockwise_inverse_m(),
+        tripletwise_divisible_covariance(),
+        two_symmetrizable_triples(),
+        one_symmetrizable_triple(),
+    ]
+    kinds = (_cert_kernel, _positive_kernel, _negative_cycle_kernel, _broken_symmetrizable_kernel)
+    for n in (4, 5):
+        for _ in range(10):
+            inputs += [kind(rng, n) for kind in kinds]
+    signed = with_sym3 = 0
+    for g in inputs:
+        n = len(g)
+        perm = rng.permutation(n)
+        if (perm == np.arange(n)).all():
+            perm = perm[::-1]
+        base = classify_kernel(g)
+        permuted = classify_kernel(g[np.ix_(perm, perm)])
+        transposed = classify_kernel(g.T)
+        assert _scan_verdicts(permuted) == _scan_verdicts(base)
+        assert _scan_verdicts(transposed) == _scan_verdicts(base)
+        # index i of the permuted matrix is index perm[i] of g
+        relabelled = [sorted(int(perm[i - 1]) + 1 for i in t) for t in permuted.sym3_subsets]
+        assert sorted(map(tuple, relabelled)) == list(base.sym3_subsets)
+        assert transposed.sym3_subsets == base.sym3_subsets
+        with_sym3 += bool(base.sym3_subsets)
+        if base.signature is None:
+            assert permuted.signature is None and transposed.signature is None
+            continue
+        signed += 1
+        s = np.array(base.signature)
+        assert permuted.signature in (tuple(s[perm]), tuple(-s[perm]))
+        assert transposed.signature in (tuple(s), tuple(-s))
+    assert signed >= 20 and with_sym3 >= 10

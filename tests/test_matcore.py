@@ -1,5 +1,8 @@
 """Tests for the dense matrix core."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +105,14 @@ def test_resolvent_pole_raises():
         resolvent(np.diag([-1.0, 2.0]), 1.0)
     with pytest.raises(ValueError):
         resolvent(np.eye(2), -0.5)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_resolvent_rejects_a_non_finite_sigma(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^sigma must be finite and nonnegative$"):
+            resolvent(blockwise_inverse_m(), sigma)
 
 
 def test_principal_submatrix():

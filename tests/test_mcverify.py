@@ -179,6 +179,17 @@ def test_non_finite_alphas_are_an_input_error(bad):
                 call()
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_non_finite_sigma_is_rejected_before_the_moments_pass(sigma, monkeypatch):
+    g = np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    batch = sample_squared_gaussian(g, 100, seed=0)
+    monkeypatch.setattr(mcverify._Moments, "of", lambda *args: pytest.fail("moments pass ran"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^sigma must be finite and strictly positive$"):
+            verify_conditioning(batch, g, sigma, (0.5, 0.5))
+
+
 def test_closed_form_monotone_in_each_alpha_for_nonnegative_kernels():
     g = np.array([[1.0, 0.4], [0.4, 2.0]])
     for coord in (0, 1):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,10 +246,14 @@ def test_per_b_plan_memory_at_the_dimension_cap():
 
 @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
 def test_non_finite_exponent_is_an_input_error(b):
-    with pytest.raises(ValueError, match="exponent b must be finite"):
-        per_b(np.eye(3), b)
-    with pytest.raises(ValueError, match="exponent b must be finite"):
-        vere_jones_check(np.eye(3), b, gamma_grid=[1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="exponent b must be finite"):
+            per_b(np.eye(3), b)
+        with pytest.raises(ValueError, match="exponent b must be finite"):
+            vere_jones_check(np.eye(3), b, gamma_grid=[1.0])
+        with pytest.raises(ValueError, match="exponent b must be finite"):
+            is_b_positive_definite(blockwise_inverse_m(), b, max_order=3)
 
 
 def test_per_b_dimension_cap():

@@ -1,5 +1,8 @@
 """Tests for kernel transformations and Schur-complement machinery."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from permkernel import (
     schur_complement,
     symmetrizability_breakpoints,
 )
+from permkernel import reductions
 from permkernel.gallery import one_symmetrizable_triple
 from permkernel.reductions import BreakpointSet
 
@@ -131,6 +135,14 @@ def test_breakpoints_validation():
         BreakpointSet(values=(0.5,), degenerate=True)
 
 
+@pytest.mark.parametrize("pivot_diag", [math.nan, math.inf, -math.inf])
+def test_breakpoints_reject_a_non_finite_pivot_diagonal(pivot_diag):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^pivot_diag must be finite$"):
+            symmetrizability_breakpoints(np.ones((3, 3)), (1, 2, 3), pivot_diag)
+
+
 def test_conditioning_matches_shifted_ratio_route():
     # H(sigma, G, p) equals D1 (Gamma - c) D2 entrywise on the kept block,
     # so the two symmetrizability routes must agree away from breakpoints
@@ -238,6 +250,35 @@ def test_johnson_smith_on_doubled_kernels():
     result = johnson_smith_inverse_m(block_double(one_symmetrizable_triple(), 0.0), 4)
     assert result.verdict
     assert result.failed_condition is None
+
+
+def test_johnson_smith_solves_each_block_once(monkeypatch):
+    shapes = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    # passes every condition, so it reaches (iii), which reuses the H22 solve
+    result = johnson_smith_inverse_m(block_double(one_symmetrizable_triple(), 0.0), 4)
+    assert (result.verdict, result.failed_condition) == (True, None)
+    assert shapes == [(4, 4), (4, 4)]
+
+
+def test_reduce_scan_builds_the_pivot_blocks_once(monkeypatch):
+    calls = []
+    build = reductions._pivot_blocks
+
+    def counting_build(g, pivots):
+        calls.append(pivots.tolist())
+        return build(g, pivots)
+
+    monkeypatch.setattr(reductions, "_pivot_blocks", counting_build)
+    pivots = reduce_scan(one_symmetrizable_triple(), [0.1, 1.0, 10.0])
+    assert all(point["status"] == "ok" for entry in pivots for point in entry["scan"])
+    assert calls == [[0, 1, 2, 3]]
 
 
 def test_resolvent_conditioning_compatibility():
