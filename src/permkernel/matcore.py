@@ -21,6 +21,9 @@ from .errors import (
 MAX_ENUMERATION_DIM = 16
 # Entries one stacked gather may hold (scan plan pairs or triples x matrices)
 STACK_BUDGET = 2**16
+# _minor_table's guard: a Schur complement whose entries grow past this
+# multiple of max|A| no longer gives minors to working accuracy
+GROWTH_LIMIT = 100.0
 
 
 @dataclass(frozen=True)
@@ -133,11 +136,14 @@ def resolvent(g, sigma: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """G_sigma = (I + sigma*G)^{-1} G, the exponentially tilted kernel.
 
     Raises SingularMatrix when I + sigma*G is numerically singular, which
-    signals that -1/sigma is an eigenvalue of G.
+    signals that -1/sigma is an eigenvalue of G, and OverflowError when
+    sigma*max|G| is not a finite double.
     """
     g = as_matrix(g)
     if not 0.0 <= sigma < np.inf:
         raise ValueError("sigma must be finite and nonnegative")
+    if not np.isfinite(sigma * float(np.abs(g).max())):
+        raise OverflowError(f"sigma*max|G| is not finite at sigma = {sigma}")
     poles, tilted = _resolvents(g, [sigma], tol)
     if poles[0]:
         raise SingularMatrix(f"I + {sigma}*G is numerically singular")
@@ -191,28 +197,90 @@ def _minors_of_size(a: np.ndarray, m: int) -> np.ndarray:
     return det(sub.reshape(-1, m, m)).reshape(sub.shape[:-2])
 
 
-def _minors(a: np.ndarray):
-    """Yield (size, subsets, minors) for each subset size, smallest first,
-    with one batched determinant per size. Row i of `subsets` holds the
-    0-based indices of the i-th subset in itertools.combinations order, and
-    minors[i] is its principal minor. Enumerating all 2^n - 1 minors is
-    refused above n = 16."""
-    n = a.shape[0]
+@functools.lru_cache(maxsize=MAX_ENUMERATION_DIM + 1)
+def _subset_masks(n: int) -> tuple[tuple, np.ndarray]:
+    """(masks, sizes): masks[m] holds the bitmask (bit i for index i) of
+    each size-m subset of range(n) in subset_table order, and sizes[mask]
+    is the size of that subset. Read-only; refused above n = 16."""
     if n > MAX_ENUMERATION_DIM:
         raise DimensionTooLarge(
             f"principal-minor enumeration is capped at n = {MAX_ENUMERATION_DIM}"
         )
-    for m in range(1, n + 1):
-        yield m, subset_table(n, m), _minors_of_size(a, m)
+    masks = (np.zeros(1, dtype=np.intp),) + tuple(
+        (1 << subset_table(n, m)).sum(axis=1) for m in range(1, n + 1)
+    )
+    sizes = np.empty(1 << n, dtype=np.intp)
+    for m, of_size in enumerate(masks):
+        sizes[of_size] = m
+        of_size.flags.writeable = False
+    sizes.flags.writeable = False
+    return masks, sizes
+
+
+def _minor_table(stack: np.ndarray) -> np.ndarray:
+    """Every principal minor of each matrix of a stack (..., n, n), shape
+    (..., 2^n): entry T is the minor on the indices of the set bits of T,
+    and entry 0 is 1.
+
+    Level k extends the Schur complement on range(k, n) of each A[S],
+    S a subset of range(k), by index k: det A[S + k] = det A[S] * pivot,
+    the complement's first diagonal entry, and the complement of A[S + k]
+    is one rank-one update of the rest. That is O(2^n) work in all
+    (Griffin and Tsatsomeros, Principal minors, Part I, 2006). A complement
+    that is not finite or holds an entry above GROWTH_LIMIT * max|A| is not
+    trusted (a zero or tiny pivot made it), and the minors beneath it are
+    recomputed by LU, with one batched determinant per subset size. The
+    values of a matrix do not depend on the rest of the stack.
+    """
+    n = stack.shape[-1]
+    masks, _ = _subset_masks(n)
+    a = stack.reshape(-1, n, n)
+    limit = GROWTH_LIMIT * np.abs(a).max(axis=(1, 2))[:, None]
+    table = np.ones((len(a), 1))
+    bad = untrusted = np.zeros((len(a), 1), dtype=bool)
+    # comp[j, :, :, S]: the complement of A_j[S] on range(k, n); the subset
+    # axis is last, so each operation runs along 2^k contiguous entries
+    comp = a[..., None]
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            pivot = comp[:, 0, 0]
+            table = np.concatenate((table, table * pivot), axis=1)
+            untrusted = np.concatenate((untrusted, bad), axis=1)
+            if k == n - 1:
+                break
+            rest = comp[:, 1:, 1:]
+            grown = rest - comp[:, 1:, :1] * (comp[:, :1, 1:] / pivot[:, None, None])
+            tripped = ~(np.abs(grown).max(axis=(1, 2)) <= limit)  # NaN trips too
+            bad = np.concatenate((bad, bad | tripped), axis=1)
+            comp = np.concatenate((rest, grown), axis=3)
+    if untrusted.any():
+        for m in range(1, n + 1):
+            rows, cols = np.nonzero(untrusted[:, masks[m]])
+            if rows.size:
+                z = subset_table(n, m)[cols]
+                table[rows, masks[m][cols]] = det(a[rows[:, None, None], z[:, :, None], z[:, None, :]])
+    return table.reshape(*stack.shape[:-2], 1 << n)
 
 
 def principal_minors(a) -> dict:
-    """All 2^n - 1 principal minors keyed by 1-based index subset."""
+    """All 2^n - 1 principal minors keyed by 1-based index subset, by size
+    and then in itertools.combinations order. Refused above n = 16."""
+    a = as_matrix(a)
+    n = a.shape[0]
+    table = _minor_table(a)
+    masks, _ = _subset_masks(n)
     return {
-        tuple(idx): float(minor)
-        for _, subsets, minors in _minors(as_matrix(a))
-        for idx, minor in zip((subsets + 1).tolist(), minors)
+        tuple(idx): minor
+        for m in range(1, n + 1)
+        for idx, minor in zip((subset_table(n, m) + 1).tolist(), table[masks[m]].tolist())
     }
+
+
+def _minors_agree(x, y, floor, rel_tol: float):
+    """Elementwise: x and y are relatively close, or differ by at most
+    `floor`, which absorbs round-off on minors that are tiny relative to
+    the natural determinant scale of their size."""
+    return np.abs(x - y) <= np.maximum(rel_tol * np.maximum(np.abs(x), np.abs(y)), floor)
 
 
 def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -220,21 +288,34 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
 
     Equality of all principal minors is the multilinear restatement of
     |I + xA| = |I + xB| for every diagonal x, so this decides whether A and
-    B can serve as kernels of the same vector. Exponential in n; intended
-    for n <= 12 and refused above n = 16. Stops at the first subset size
-    with an unequal minor.
+    B can serve as kernels of the same vector. Exponential in n and refused
+    above n = 16. The 1x1 and 2x2 minors are compared first, so a pair
+    that differs there stops early; the rest come from one _minor_table of
+    the pair. A size-k minor counts as equal within
+    tol.threshold((A, B), k) or rel_tol.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    for (m, _, ma), (_, _, mb) in zip(_minors(a), _minors(b)):
-        # floor absorbs round-off on minors that are tiny relative to the
-        # natural determinant scale of the subset size
-        floor = tol.threshold((a, b), m)
-        bound = np.maximum(tol.rel_tol * np.maximum(np.abs(ma), np.abs(mb)), floor)
-        if not np.all(np.abs(ma - mb) <= bound):
+    n = a.shape[0]
+    _, sizes = _subset_masks(n)
+    pair = np.stack((a, b))
+    for m in range(1, min(n, 2) + 1):
+        ma, mb = _minors_of_size(pair, m)
+        if not np.all(_minors_agree(ma, mb, tol.threshold(pair, m), tol.rel_tol)):
             return False
+    ta, tb = _minor_table(pair)
+    scale = float(np.abs(pair).max(initial=1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # float_power rounds as Python's pow, so each floor is tol.threshold's
+        floors = tol.zero_tol * np.float_power(scale, np.arange(n + 1))
+        agree = _minors_agree(ta, tb, floors[sizes], tol.rel_tol)
+    finite = np.isfinite(floors)
+    if not np.all(agree | ~finite[sizes]):
+        return False
+    if not finite.all():
+        raise OverflowError(f"the zero threshold of order {int(finite.sum())} is not a finite double")
     return True
 
 

@@ -161,10 +161,17 @@ def _scan_level(n: int, d: int):
     k and a subset S of its support.
     """
     own = _multisets(n, d)
-    # the base-n values of nondecreasing rows in lexicographic order ascend,
-    # and n^d is below 2^63 for every plan that fits in memory
-    place = n ** np.arange(d - 1, -1, -1)
-    values = own @ place
+    # rank by the combinatorial number system: x_i + i is a strictly
+    # increasing subset of range(n + d - 1) with colex rank
+    # sum_i C(x_i + i, i + 1), below C(n + d - 1, d), the number of
+    # multisets; so every rank, and every term tabled here, fits in int64
+    # whenever the plan fits in memory
+    terms = np.array(
+        [[math.comb(x + i, i + 1) for x in range(n)] for i in range(d)], dtype=np.int64
+    ).ravel()
+    offsets = np.arange(d) * n  # terms[offsets[i] + x] = C(x + i, i + 1)
+    lex = np.empty(len(own), dtype=np.intp)  # lex[colex rank] = position in own
+    lex[terms[own + offsets].sum(axis=1)] = np.arange(len(own))
     counts = (own[:, :, None] == np.arange(n)).sum(axis=1)
     factorials = np.array([math.factorial(c) for c in range(d + 1)], dtype=float)
     plan = []
@@ -181,7 +188,7 @@ def _scan_level(n: int, d: int):
         )
         merged.sort(axis=-1)
         source, subset = np.indices(shape).reshape(2, -1)
-        plan.append((np.searchsorted(values, (merged @ place).ravel()), subset, source))
+        plan.append((lex[terms[merged + offsets].sum(axis=-1).ravel()], subset, source))
     selections = [tuple(k) for k in (own + 1).tolist()]
     return selections, factorials[counts].prod(axis=1), tuple(plan)
 

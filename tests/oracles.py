@@ -10,7 +10,10 @@ matrices, which is the point. Two routes are kept for bit-for-bit
 comparison instead: the per-gamma route of the Vere-Jones check, which
 calls the library's one-matrix functions gamma by gamma, and the per-call
 b-permanent, which rebuilds per_b's index tables at every call and, unlike
-per_b, leaves all-zero Held-Karp path rows unextended.
+per_b, leaves all-zero Held-Karp path rows unextended. A batched-LU route,
+one determinant per subset size, is the reference for the principal-minor
+table (to a Hadamard-scaled tolerance) and for the verdicts of
+effectively_equivalent.
 """
 
 import itertools
@@ -232,6 +235,35 @@ def principal_minors_cofactor(a) -> dict:
             sub = a[np.ix_(subset, subset)]
             out[tuple(i + 1 for i in subset)] = det_cofactor(sub)
     return out
+
+
+def minor_table_lu(a) -> np.ndarray:
+    """Every principal minor of `a`, indexed by bitmask (entry T is the
+    minor on the set bits of T, entry 0 is 1), from one batched LU
+    determinant per subset size: the reference for matcore._minor_table."""
+    a = as_matrix(a)
+    n = a.shape[0]
+    table = np.ones(1 << n)
+    for m in range(1, n + 1):
+        z = np.array(list(itertools.combinations(range(n), m)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table[(1 << z).sum(axis=1)] = np.linalg.det(a[z[:, :, None], z[:, None, :]])
+    return table
+
+
+def effectively_equivalent_by_size(a, b, tol=DEFAULT_TOL) -> bool:
+    """effectively_equivalent from minor_table_lu of each matrix, size by
+    size, stopping at the first size with an unequal minor."""
+    a, b = as_matrix(a), as_matrix(b)
+    ta, tb = minor_table_lu(a), minor_table_lu(b)
+    sizes = np.array([bin(mask).count("1") for mask in range(len(ta))])
+    for m in range(1, a.shape[0] + 1):
+        ma, mb = ta[sizes == m], tb[sizes == m]
+        floor = tol.threshold((a, b), m)
+        bound = np.maximum(tol.rel_tol * np.maximum(np.abs(ma), np.abs(mb)), floor)
+        if not np.all(np.abs(ma - mb) <= bound):
+            return False
+    return True
 
 
 def transform_series_2x2(g, b: float, order: int) -> list:

@@ -28,8 +28,14 @@ from permkernel import (
     signature_conjugate,
 )
 from permkernel.gallery import blockwise_inverse_m
+from permkernel.matcore import _minor_table
 
-from oracles import det_cofactor, principal_minors_cofactor
+from oracles import (
+    det_cofactor,
+    effectively_equivalent_by_size,
+    minor_table_lu,
+    principal_minors_cofactor,
+)
 
 # frozen from the cofactor oracle, run against the printed fixture
 BLOCKWISE_DET = 0.48945
@@ -113,6 +119,15 @@ def test_resolvent_rejects_a_non_finite_sigma(sigma):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^sigma must be finite and nonnegative$"):
             resolvent(blockwise_inverse_m(), sigma)
+
+
+def test_resolvent_overflow_is_an_overflow_error():
+    # I + sigma*G would hold inf and read as numerically singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^sigma\*max\|G\| is not finite at sigma = 1e\+308$"):
+            resolvent(10 * np.eye(2), 1e308)
+        assert np.allclose(resolvent(np.eye(2), 1e150), 1e-150 * np.eye(2), rtol=1e-12, atol=0.0)
 
 
 def test_principal_submatrix():
@@ -251,13 +266,26 @@ def test_minors_take_one_batched_determinant_per_size(monkeypatch):
     monkeypatch.setattr(np.linalg, "det", counting_det)
     rng = np.random.default_rng(43)
     a = rng.uniform(0.1, 1.0, (6, 6)) + np.eye(6)
+    # the Schur-complement table takes no determinant when no pivot is small
     assert len(principal_minors(a)) == 63
-    assert [shape[0] for shape in calls] == [6, 15, 20, 15, 6, 1]
+    assert calls == []
+    # a zero diagonal trips the guard on every nonempty complement: one
+    # batched LU per size from 2 up
+    hollow = a - np.diag(np.diag(a))
+    assert len(principal_minors(hollow)) == 63
+    assert calls == [(15, 2, 2), (20, 3, 3), (15, 4, 4), (6, 5, 5), (1, 6, 6)]
+    calls.clear()
+    # a zero at (3, 3) trips only the complement of {3}, on {4, 5, 6}: the
+    # minors beneath it have sizes 2 to 4
+    a[2, 2] = 0.0
+    assert len(principal_minors(a)) == 63
+    assert [shape[1:] for shape in calls] == [(2, 2), (3, 3), (4, 4)]
+    a[2, 2] = 1.5
     calls.clear()
     b = a.copy()
     b[0, 1] *= 1.1  # changes 2x2 minors first
     assert not effectively_equivalent(a, b)
-    assert [shape[1:] for shape in calls] == [(1, 1), (1, 1), (2, 2), (2, 2)]
+    assert calls == [(12, 1, 1), (30, 2, 2)]
     calls.clear()
     # the scan reads minors only up to its order, and stops at a failing level
     assert is_b_positive_definite(a, 0.5, max_order=3).passed
@@ -266,6 +294,65 @@ def test_minors_take_one_batched_determinant_per_size(monkeypatch):
     a[2, 2] = -1.0
     assert not is_b_positive_definite(a, 0.5, max_order=3).passed
     assert len(calls) == 1
+
+
+def _minor_families(rng, n: int) -> dict:
+    """Matrices on which the Schur-complement table meets small, zero and
+    large pivots."""
+    normal = rng.standard_normal((n, n))
+    one_zero = normal.copy()
+    k = rng.integers(n)
+    one_zero[k, k] = 0.0
+    u, v = rng.standard_normal((2, n, 2))
+    return {
+        "diagonally heavy": rng.uniform(0.1, 1.0, (n, n)) + n * np.eye(n),
+        "signed normal": normal,
+        "zero diagonal": normal - np.diag(np.diag(normal)),
+        "one zero diagonal": one_zero,
+        "rank 2": u @ v.T,
+        "integers": rng.integers(-2, 3, (n, n)).astype(float),
+        "scaled up": 1e4 * normal,
+        "scaled down": 1e-4 * normal,
+    }
+
+
+def test_minor_table_matches_the_batched_lu_oracle():
+    rng = np.random.default_rng(47)
+    for n in range(1, 9):
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        for name, a in _minor_families(rng, n).items():
+            # Hadamard: |det A[S]| <= the product of the norms of its rows
+            norms = np.sqrt(bits @ (a**2).T)
+            scale = np.where(bits == 1, norms, 1.0).prod(axis=1)
+            error = np.abs(_minor_table(a) - minor_table_lu(a))
+            assert np.all(error <= 1e-13 * scale), (name, n)
+            assert _minor_table(np.stack((a, 2 * a)))[1].tolist() == _minor_table(2 * a).tolist()
+
+
+def test_effectively_equivalent_verdicts_match_the_oracle():
+    rng = np.random.default_rng(53)
+    for n in range(2, 9):
+        for name, a in _minor_families(rng, n).items():
+            partners = [
+                diagonal_conjugate(a, rng.uniform(0.5, 2.0, n)),
+                signature_conjugate(a, rng.choice([-1.0, 1.0], n)),
+                a.T,
+            ]
+            i, j = rng.integers(n, size=2)
+            # not within 10x of rel_tol, where either route may round either way
+            for eps in (1e-12, 1e-6, 1e-2):
+                b = a.copy()
+                b[i, j] += eps * np.abs(a).max()
+                partners.append(b)
+            for b in partners:
+                assert effectively_equivalent(a, b) == effectively_equivalent_by_size(a, b), (name, n)
+    # a floor that overflows is an error once every smaller size agrees
+    big = 1e100 * np.eye(4)
+    with pytest.raises(OverflowError):
+        effectively_equivalent(big, big)
+    cycle = big.copy()
+    cycle[[0, 1, 2], [1, 2, 0]] = 1e100  # changes the {1, 2, 3} minor alone
+    assert not effectively_equivalent(big, cycle)
 
 
 def test_find_positivity_signature_positive_matrix():

@@ -366,6 +366,19 @@ def test_positivity_scan_runs_at_the_order_cap():
     assert scan.value == pytest.approx(value, rel=1e-10)
 
 
+@pytest.mark.parametrize("n, d", [(2, 65), (2, 70), (3, 40), (4, 32)])
+def test_scan_level_targets_past_int64_base_n_codes(n, d):
+    # n^d overflows int64 here, so base-n codes of the multisets would wrap
+    rank = {k: i for i, k in enumerate(itertools.combinations_with_replacement(range(n), d))}
+    selections, _, plan = permanent._scan_level(n, d)
+    assert [tuple(i - 1 for i in k) for k in selections] == list(rank)
+    for s, (target, subset, source) in enumerate(plan, start=1):
+        subsets = permanent.subset_table(n, s)[subset]
+        sources = permanent._multisets(n, d - s)[source]
+        merged = np.sort(np.concatenate([sources, subsets], axis=1), axis=1)
+        assert target.tolist() == [rank[k] for k in map(tuple, merged.tolist())]
+
+
 def test_positivity_scan_order_cap():
     with pytest.raises(DimensionTooLarge):
         is_b_positive_definite(np.eye(2), 0.5, max_order=9)
