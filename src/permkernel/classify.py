@@ -9,14 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HasZeroEntry, SingularMatrix
+from .errors import HasZeroEntry
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
+    _inverse_or_none,
     as_matrix,
     close,
     find_positivity_signature,
-    inverse,
     signature_conjugate,
     subset_table,
 )
@@ -33,13 +33,6 @@ def _nonnegative(a: np.ndarray, tol: Tolerance) -> bool:
 
 def _off_diagonal_nonpositive(a: np.ndarray, tol: Tolerance) -> bool:
     return bool((a - np.diag(np.diag(a))).max() <= tol.threshold(a))
-
-
-def _inverse_or_none(a: np.ndarray, tol: Tolerance) -> np.ndarray | None:
-    try:
-        return inverse(a, tol)
-    except SingularMatrix:
-        return None
 
 
 def _is_m(a: np.ndarray, inv: np.ndarray | None, tol: Tolerance) -> bool:

@@ -22,7 +22,7 @@ from .classify import (
     is_inverse_m_matrix,
     is_symmetrizable_3x3,
 )
-from .matcore import DEFAULT_TOL, Tolerance, inverse, principal_submatrix
+from .matcore import DEFAULT_TOL, Tolerance, det, inverse, principal_submatrix
 from .mcverify import laplace_report
 from .reductions import block_double, johnson_smith_inverse_m, schur_complement
 
@@ -221,8 +221,8 @@ def _block_doubled(seed: int, mc_count: int, tol: Tolerance) -> list[dict]:
         doubled = block_double(base, alpha)
         worst = 0.0
         for x in xs:
-            lhs = np.linalg.det(doubled - x * np.eye(8))
-            rhs = np.linalg.det((1.0 + alpha) * base - x * np.eye(4)) * np.linalg.det(
+            lhs = det(doubled - x * np.eye(8))
+            rhs = det((1.0 + alpha) * base - x * np.eye(4)) * det(
                 (1.0 - alpha) * base - x * np.eye(4)
             )
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))

@@ -96,14 +96,16 @@ def as_scaling(diag, n: int) -> np.ndarray:
 
 def det(a: np.ndarray):
     """np.linalg.det of a matrix or of each matrix of a stack (..., n, n),
-    without its divide-by-zero and invalid warnings on singular input."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    without its divide-by-zero, invalid and overflow warnings: singular
+    input gives 0, and a determinant beyond a double gives +-inf."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.linalg.det(a)
 
 
-def close(a, b, rel_tol: float):
-    """Relative equality, elementwise on arrays."""
-    return np.abs(a - b) <= rel_tol * np.maximum(np.abs(a), np.abs(b))
+def close(a, b, rel_tol: float, floor=0.0):
+    """Relative equality within rel_tol, or a difference of at most `floor`
+    (which absorbs round-off on tiny values); elementwise on arrays."""
+    return np.abs(a - b) <= np.maximum(rel_tol * np.maximum(np.abs(a), np.abs(b)), floor)
 
 
 def determinant(a) -> float:
@@ -111,25 +113,37 @@ def determinant(a) -> float:
     return float(det(as_matrix(a)))
 
 
+def _solve(m: np.ndarray, rhs: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The one singularity guard: M^{-1} rhs for each matrix M of a stack
+    (k, n, n), against one shared right-hand side rhs (n, r).
+
+    Returns (singular, x): singular[i] is True when M_i is numerically
+    singular, |det M_i| <= tol.threshold(M_i), and x stacks the solutions
+    of the other matrices in order. One batched determinant and one
+    batched solve serve the whole stack.
+    """
+    singular = np.abs(det(m)) <= tol.threshold(m, axis=(-2, -1))
+    return singular, np.linalg.solve(m[~singular], rhs)
+
+
+def _inverse_or_none(a: np.ndarray, tol: Tolerance) -> np.ndarray | None:
+    """A^{-1} of a float matrix, or None where `_solve` finds A singular."""
+    singular, inv = _solve(a[None], np.eye(a.shape[0]), tol)
+    return None if singular[0] else inv[0]
+
+
 def inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """A^{-1}; raises SingularMatrix when |det A| falls below tolerance."""
-    a = as_matrix(a)
-    if abs(det(a)) <= tol.threshold(a):
+    inv = _inverse_or_none(as_matrix(a), tol)
+    if inv is None:
         raise SingularMatrix("matrix is numerically singular")
-    return np.linalg.inv(a)
+    return inv
 
 
 def _resolvents(g: np.ndarray, sigmas, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Tilted kernels (I + sigma*G)^{-1} G for a sequence of sigmas at once.
-
-    Returns (poles, tilted): poles[i] is True when I + sigma_i*G is
-    numerically singular, |det| <= tol.threshold(I + sigma_i*G), and
-    tilted stacks the kernels of the other sigmas in order. One batched
-    determinant and one batched solve serve the whole sequence.
-    """
-    m = np.eye(g.shape[0]) + np.asarray(sigmas, dtype=float)[:, None, None] * g
-    poles = np.abs(det(m)) <= tol.threshold(m, axis=(1, 2))
-    return poles, np.linalg.solve(m[~poles], g)
+    """(poles, tilted) of `_solve` for I + sigma*G against G: the tilted
+    kernels (I + sigma*G)^{-1} G of a sequence of sigmas at once."""
+    return _solve(np.eye(g.shape[0]) + np.asarray(sigmas, dtype=float)[:, None, None] * g, g, tol)
 
 
 def resolvent(g, sigma: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -276,13 +290,6 @@ def principal_minors(a) -> dict:
     }
 
 
-def _minors_agree(x, y, floor, rel_tol: float):
-    """Elementwise: x and y are relatively close, or differ by at most
-    `floor`, which absorbs round-off on minors that are tiny relative to
-    the natural determinant scale of their size."""
-    return np.abs(x - y) <= np.maximum(rel_tol * np.maximum(np.abs(x), np.abs(y)), floor)
-
-
 def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff every principal minor of A equals the matching minor of B.
 
@@ -303,14 +310,14 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     pair = np.stack((a, b))
     for m in range(1, min(n, 2) + 1):
         ma, mb = _minors_of_size(pair, m)
-        if not np.all(_minors_agree(ma, mb, tol.threshold(pair, m), tol.rel_tol)):
+        if not np.all(close(ma, mb, tol.rel_tol, tol.threshold(pair, m))):
             return False
     ta, tb = _minor_table(pair)
     scale = float(np.abs(pair).max(initial=1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         # float_power rounds as Python's pow, so each floor is tol.threshold's
         floors = tol.zero_tol * np.float_power(scale, np.arange(n + 1))
-        agree = _minors_agree(ta, tb, floors[sizes], tol.rel_tol)
+        agree = close(ta, tb, tol.rel_tol, floors[sizes])
     finite = np.isfinite(floors)
     if not np.all(agree | ~finite[sizes]):
         return False

@@ -165,19 +165,15 @@ class _Moments:
 
     @classmethod
     def combine(cls, table: np.ndarray, k: int) -> _Moments:
-        """Merge the rows of _moments over k columns in index order (Chan,
-        Golub and LeVeque's pairwise update)."""
-        count = table[0, 0]
-        mean = table[0, 1 : k + 1].copy()
-        scatter = table[0, k + 1 :].reshape(k, k).copy()
-        for row in table[1:]:
-            rows = row[0]
-            total = count + rows
-            delta = row[1 : k + 1] - mean
-            mean += delta * (rows / total)
-            scatter += row[k + 1 :].reshape(k, k) + np.outer(delta, delta) * (count * rows / total)
-            count = total
-        return cls(count=int(count), mean=mean, scatter=scatter)
+        """Merge the rows (c_i, m_i, S_i) of _moments over k columns in one
+        step: mean = sum (c_i / N) m_i and scatter = sum S_i + sum c_i d_i d_i^T,
+        with d_i = m_i - mean."""
+        counts, means = table[:, 0], table[:, 1 : k + 1]
+        total = counts.sum()
+        mean = (counts / total) @ means
+        delta = means - mean
+        scatter = table[:, k + 1 :].reshape(-1, k, k).sum(axis=0) + (delta.T * counts) @ delta
+        return cls(count=int(total), mean=mean, scatter=scatter)
 
     @classmethod
     def of(cls, psi: np.ndarray, exponents: np.ndarray) -> _Moments:

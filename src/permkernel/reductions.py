@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, MatrixError, PoleAtSigma, SingularBlock, ZeroPivotEntry
-from .matcore import DEFAULT_TOL, STACK_BUDGET, Tolerance, as_matrix, det
-from .classify import _symmetrizable, is_inverse_m_matrix, three_cycles, triple_table
+from .matcore import DEFAULT_TOL, STACK_BUDGET, Tolerance, _inverse_or_none, _solve, as_matrix
+from .classify import _is_inverse_m, _symmetrizable, is_inverse_m_matrix, three_cycles, triple_table
 
 _ZERO_NOTE = "pivot row/column {0} has a zero entry"
 _POLE_NOTE = "1 + sigma*G({0},{0}) vanishes at sigma = {1}"
@@ -267,9 +267,10 @@ def _blocks(h: np.ndarray, split: int):
 
 
 def _solve_block(block: np.ndarray, rhs: np.ndarray, name: str, tol: Tolerance):
-    if abs(det(block)) <= tol.threshold(block):
+    singular, x = _solve(block[None], rhs, tol)
+    if singular[0]:
         raise SingularBlock(f"block {name} is numerically singular")
-    return np.linalg.solve(block, rhs)
+    return x[0]
 
 
 def schur_complement(h, block: str, split: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -318,15 +319,15 @@ def johnson_smith_inverse_m(
 
     if not is_inverse_m_matrix(over_h11, tol):
         return JohnsonSmithResult(False, "i")
-    if not is_inverse_m_matrix(over_h22, tol):
+    over22_inv = _inverse_or_none(as_matrix(over_h22), tol)
+    if not _is_inverse_m(over_h22, over22_inv, tol):
         return JohnsonSmithResult(False, "ii")
 
-    over22_inv = np.linalg.inv(over_h22)  # nonsingular: it passed inverse-M above
     lower_left = h22_inv_h21 @ over22_inv
     if lower_left.min() < -tol.threshold(lower_left):
         return JohnsonSmithResult(False, "iii")
 
-    upper_right = over22_inv @ h12 @ np.linalg.inv(h22)
+    upper_right = over22_inv @ h12 @ _solve_block(h22, np.eye(len(h22)), "H22", tol)
     if upper_right.min() < -tol.threshold(upper_right):
         return JohnsonSmithResult(False, "iv")
     return JohnsonSmithResult(True, None)

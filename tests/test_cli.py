@@ -247,6 +247,23 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
     assert proc.stderr == b""
 
 
+def test_vere_jones_at_a_huge_gamma_writes_nothing_to_stderr(tmp_path):
+    # det(I + 1e300 G) is beyond a double: +inf, not a leaked overflow warning
+    path = write_fixture(tmp_path, one_symmetrizable_triple())
+    env = {**os.environ, "PYTHONPATH": str(Path(permkernel.__file__).resolve().parents[1])}
+    argv = ["vere-jones", "--input", path, "--gamma-grid", "1e300", "--deterministic"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "permkernel.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    (point,) = json.loads(proc.stdout)["report"]["condition_ii"]
+    assert (point["gamma"], point["status"]) == (1e300, "pass")
+
+
 def test_reduce_scan_nonpositive_pivot_diagonal_is_an_input_error(tmp_path, capsys):
     g = np.array(SPARSE_4X4) + 0.1
     g[0, 0] = -1.0

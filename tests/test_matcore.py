@@ -1,7 +1,9 @@
 """Tests for the dense matrix core."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from permkernel import (
     resolvent,
     signature_conjugate,
 )
+import permkernel
 from permkernel.gallery import blockwise_inverse_m
 from permkernel.matcore import _minor_table
 
@@ -128,6 +131,55 @@ def test_resolvent_overflow_is_an_overflow_error():
         with pytest.raises(OverflowError, match=r"^sigma\*max\|G\| is not finite at sigma = 1e\+308$"):
             resolvent(10 * np.eye(2), 1e308)
         assert np.allclose(resolvent(np.eye(2), 1e150), 1e-150 * np.eye(2), rtol=1e-12, atol=0.0)
+
+
+def test_determinants_beyond_a_double_are_inf_without_warnings():
+    # det silences overflow as it does divide-by-zero and invalid
+    big_off_diagonal = 1e200 * (np.ones((3, 3)) - np.eye(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert determinant(1e200 * np.eye(2)) == math.inf
+        assert resolvent(np.eye(2), 1e300).tolist() == [[1e-300, 0.0], [0.0, 1e-300]]
+        minors = principal_minors(big_off_diagonal)
+    assert minors == {
+        (1,): 0.0,
+        (2,): 0.0,
+        (3,): 0.0,
+        (1, 2): -math.inf,
+        (1, 3): -math.inf,
+        (2, 3): -math.inf,
+        (1, 2, 3): math.inf,
+    }
+
+
+def _linalg_references(attr):
+    """`module.top_level_name` of each reference to numpy.linalg.<attr> in
+    the package source (None for module-level code)."""
+    found = []
+    for path in sorted(Path(permkernel.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                attribute = (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == attr
+                    and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")
+                )
+                imported = (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "numpy.linalg"
+                    and any(alias.name == attr for alias in node.names)
+                )
+                if attribute or imported:
+                    found.append(f"{path.stem}.{owner}")
+    return found
+
+
+def test_determinants_and_inverses_take_one_route():
+    # every determinant goes through matcore.det, every inverse through
+    # matcore._solve's guarded solve
+    assert _linalg_references("det") == ["matcore.det"]
+    assert _linalg_references("inv") == []
 
 
 def test_principal_submatrix():

@@ -15,6 +15,7 @@ from permkernel import (
     block_double,
     conditioning_kernel,
     effectively_equivalent,
+    inverse,
     is_symmetrizable_3x3,
     johnson_smith_inverse_m,
     ratio_matrix,
@@ -253,18 +254,34 @@ def test_johnson_smith_on_doubled_kernels():
 
 
 def test_johnson_smith_solves_each_block_once(monkeypatch):
-    shapes = []
+    # an inverse M-matrix whose four blocks and complements all differ
+    # passes every condition, so it reaches (iii) and (iv)
+    h = inverse(np.diag([4.0, 5.0, 6.0, 7.0, 8.0, 9.0]) - 0.5)
+    h11, h22 = h[:3, :3], h[3:, 3:]
+    over_h11 = schur_complement(h, "upper-left", 3)
+    over_h22 = schur_complement(h, "lower-right", 3)
+    solves = []
     solve = np.linalg.solve
 
     def counting_solve(a, b):
-        shapes.append(a.shape)
+        kind = "inverse" if np.array_equal(b, np.eye(a.shape[-1])) else "solve"
+        solves.extend((m.tobytes(), kind) for m in a)
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    # passes every condition, so it reaches (iii), which reuses the H22 solve
-    result = johnson_smith_inverse_m(block_double(one_symmetrizable_triple(), 0.0), 4)
+    result = johnson_smith_inverse_m(h, 3)
     assert (result.verdict, result.failed_condition) == (True, None)
-    assert shapes == [(4, 4), (4, 4)]
+    # H11 and H22 factored once each for a complement; (ii) inverts H/H22
+    # once and (iii) reuses that inverse; (iv) inverts H22
+    assert sorted(solves) == sorted(
+        [
+            (h11.tobytes(), "solve"),
+            (h22.tobytes(), "solve"),
+            (over_h11.tobytes(), "inverse"),
+            (over_h22.tobytes(), "inverse"),
+            (h22.tobytes(), "inverse"),
+        ]
+    )
 
 
 def test_reduce_scan_builds_the_pivot_blocks_once(monkeypatch):
