@@ -86,8 +86,10 @@ def three_cycles(a: np.ndarray) -> np.ndarray:
 
 
 def _cycle_products(entries: np.ndarray):
-    """Forward and reverse 3-cycle products."""
-    return entries[0] * entries[1] * entries[2], entries[3] * entries[4] * entries[5]
+    """Forward and reverse 3-cycle products, each over the cube of the
+    triple's largest off-diagonal magnitude, so that neither overflows."""
+    unit = entries[:6] / np.abs(entries[:6]).max(axis=0, initial=np.finfo(float).tiny)
+    return unit[0] * unit[1] * unit[2], unit[3] * unit[4] * unit[5]
 
 
 def _symmetrizable(a: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -107,7 +109,7 @@ def _symmetrizable(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     # rows 3, 5, 4 are (a_ji, a_kj, a_ik), opposite to rows 0, 1, 2
     signs_fit = (
         (entries[6:] >= -thr).all(axis=0)
-        & (entries[:3] * entries[[3, 5, 4]] >= 0.0).all(axis=0)
+        & (np.sign(entries[:3]) * np.sign(entries[[3, 5, 4]]) >= 0.0).all(axis=0)
         & (forward >= 0.0)
     )
     return (magnitude[:6] <= thr).any(axis=0) | (
@@ -126,7 +128,7 @@ def is_diag_equiv_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = as_matrix(a)
     if np.any(np.abs(a) <= tol.threshold(a)):
         raise HasZeroEntry("matrix has a zero entry at tolerance")
-    if np.any(a * a.T < 0.0):
+    if np.any(np.sign(a) * np.sign(a.T) < 0.0):
         return False
     return bool(close(*_cycle_products(three_cycles(a)), tol.rel_tol).all())
 

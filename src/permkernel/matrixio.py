@@ -19,14 +19,19 @@ from .matcore import as_matrix
 
 
 def matrix_from_json(text: str) -> np.ndarray:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "entries" not in doc:
-        raise DimensionMismatch('JSON matrix must be an object with an "entries" field')
-    a = as_matrix(doc["entries"])
-    if "n" in doc and int(doc["n"]) != a.shape[0]:
-        raise DimensionMismatch(
-            f'declared n = {doc["n"]} does not match {a.shape[0]} rows'
-        )
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise DimensionMismatch("JSON matrix is nested too deeply") from exc
+    rows = doc.get("entries") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows
+    ):
+        raise DimensionMismatch('JSON matrix must be an object whose "entries" are rows of numbers')
+    a = as_matrix(rows)
+    n = doc.get("n", a.shape[0])
+    if type(n) not in (int, float) or n != a.shape[0]:
+        raise DimensionMismatch(f'declared "n" is not the number of rows, {a.shape[0]}')
     return a
 
 

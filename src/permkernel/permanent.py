@@ -151,14 +151,13 @@ def _multisets(n: int, d: int) -> np.ndarray:
 def _scan_level(n: int, d: int):
     """Index plan of level d of the generating-function recurrence.
 
-    Returns (selections, factorials, plan). selections are the size-d
-    multisets k of 1..n in scan order and factorials[i] = k! = prod_i k_i!.
-    plan[s - 1] = (target, subset, source) holds three index arrays with
-    one entry per pair of a size-s subset S of range(n) and a size-(d - s)
-    multiset j: the position of k = j + 1_S in selections, of S among the
-    size-s subsets in itertools.combinations order, and of j among the
-    size-(d - s) multisets. These pairs are exactly the pairs of a multiset
-    k and a subset S of its support.
+    Returns (factorials, plan). factorials[i] = k! = prod_i k_i! for the
+    i-th size-d multiset k of range(n) (_multisets order). plan[s - 1] is
+    the read-only (C(n + d - s - 1, d - s), C(n, s)) table of targets: row
+    j, column S holds the position of k = j + 1_S among the size-d
+    multisets, for the j-th size-(d - s) multiset and the S-th size-s
+    subset of range(n) in itertools.combinations order. These pairs are
+    exactly the pairs of a multiset k and a subset S of its support.
     """
     own = _multisets(n, d)
     # rank by the combinatorial number system: x_i + i is a strictly
@@ -176,26 +175,14 @@ def _scan_level(n: int, d: int):
     factorials = np.array([math.factorial(c) for c in range(d + 1)], dtype=float)
     plan = []
     for s in range(1, min(n, d) + 1):
-        subsets = subset_table(n, s)
-        sources = _multisets(n, d - s)
-        shape = (len(sources), len(subsets))
-        merged = np.concatenate(
-            [
-                np.broadcast_to(sources[:, None, :], (*shape, d - s)),
-                np.broadcast_to(subsets[None, :, :], (*shape, s)),
-            ],
-            axis=-1,
+        subsets, sources = subset_table(n, s), _multisets(n, d - s)
+        pairs = np.concatenate(
+            [np.repeat(sources, len(subsets), axis=0), np.tile(subsets, (len(sources), 1))], axis=1
         )
-        merged.sort(axis=-1)
-        source, subset = np.indices(shape).reshape(2, -1)
-        plan.append((lex[terms[merged + offsets].sum(axis=-1).ravel()], subset, source))
-    selections = [tuple(k) for k in (own + 1).tolist()]
-    return selections, factorials[counts].prod(axis=1), tuple(plan)
-
-
-def _plan_pairs(n: int, d: int) -> int:
-    """Number of (subset, multiset) pairs in the plan of level d."""
-    return sum(math.comb(n, s) * math.comb(n + d - s - 1, d - s) for s in range(1, min(n, d) + 1))
+        target = lex[terms[np.sort(pairs) + offsets].sum(axis=1)].reshape(len(sources), -1)
+        target.setflags(write=False)
+        plan.append(target)
+    return factorials[counts].prod(axis=1), tuple(plan)
 
 
 def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Tolerance) -> list:
@@ -208,8 +195,8 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
     same order as for one matrix alone, so the values do not depend on the
     stack. A matrix whose level has a value below its threshold leaves the
     stack with the first such multiset as its witness, and no larger
-    minors of it are computed. At most STACK_BUDGET // (pairs in the top
-    level's plan) matrices are stacked, so that a gather holds about
+    minors of it are computed. At most STACK_BUDGET // (targets in the top
+    level's plan) matrices are stacked, so that a level's terms hold about
     STACK_BUDGET entries or one matrix's plan: a small plan takes a whole
     gamma grid, an order-8 scan at n = 8 one matrix at a time.
     """
@@ -219,8 +206,10 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
         raise DimensionTooLarge(
             f"multiset scan is capped at order {MAX_POSITIVITY_ORDER}"
         )
+    if not len(stack):
+        return []
     n = stack.shape[-1]
-    width = max(1, STACK_BUDGET // _plan_pairs(n, max_order))
+    width = max(1, STACK_BUDGET // sum(t.size for t in _scan_level(n, max_order)[1]))
     if len(stack) > width:
         return [
             scan
@@ -241,12 +230,12 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
             raise OverflowError(f"the zero threshold of order {d} is not a finite double")
         if d <= n:
             signed.append((-1.0) ** d * _minors_of_size(stack, d))
-        selections, factorials, plan = _scan_level(n, d)
-        total = np.zeros((live.size, len(selections)))
-        bins = np.arange(live.size)[:, None] * len(selections)
-        for s, (target, subset, source) in enumerate(plan, start=1):
-            weights = signed[s].take(subset, axis=1) * levels[d - s].take(source, axis=1)
-            sums = np.bincount((bins + target).ravel(), weights.ravel(), total.size)
+        factorials, plan = _scan_level(n, d)
+        total = np.zeros((live.size, len(factorials)))
+        bins = np.arange(live.size)[:, None, None] * len(factorials)
+        for s, target in enumerate(plan, start=1):
+            terms = levels[d - s][:, :, None] * signed[s][:, None, :]
+            sums = np.bincount((bins + target).ravel(), terms.ravel(), total.size)
             total += (d - s + b * s) * sums.reshape(total.shape)
         f = -total / d
         values = factorials * f
@@ -257,7 +246,7 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
             for row in np.flatnonzero(failed):
                 i = int(bad[row].argmax())
                 scans[live[row]] = PositivityScan(
-                    False, max_order, witness=selections[i], value=float(values[row, i])
+                    False, max_order, tuple((_multisets(n, d)[i] + 1).tolist()), float(values[row, i])
                 )
             keep = ~failed
             live, stack = live[keep], stack[keep]

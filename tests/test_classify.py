@@ -1,6 +1,7 @@
 """Tests for structural classification."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,24 @@ def test_is_diag_equiv_symmetric():
 def test_is_diag_equiv_symmetric_rejects_sign_mismatch():
     a = np.array([[1.0, 2.0], [-2.0, 1.0]])
     assert not is_diag_equiv_symmetric(a)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e110, 1e200, 1e300])
+def test_three_cycle_tests_hold_at_huge_scales_without_warnings(scale):
+    symmetric = np.array([[2.0, 0.5, 0.3], [0.5, 2.0, 0.4], [0.3, 0.4, 2.0]])
+    unequal_cycles = symmetric.copy()
+    unequal_cycles[1, 0] = 0.6
+    sign_mismatch = symmetric.copy()
+    sign_mismatch[2, 0] = -0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_symmetrizable_3x3(scale * symmetric)
+        assert is_diag_equiv_symmetric(scale * symmetric)
+        for a in (unequal_cycles, sign_mismatch):
+            assert not is_symmetrizable_3x3(scale * a)
+            assert not is_diag_equiv_symmetric(scale * a)
+        report = classify_kernel(scale * symmetric, gamma_grid=(1.0,), max_order=2)
+    assert report.sym3_subsets == ((1, 2, 3),)
 
 
 def test_symmetrizable_3x3_zero_pattern_branch():

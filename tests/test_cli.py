@@ -1,14 +1,19 @@
 """End-to-end CLI tests."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permkernel
 from permkernel import mcverify
@@ -166,6 +171,56 @@ def test_non_square_input_is_exit_1(tmp_path, capsys):
     path.write_text("1,2,3\n4,5,6\n")
     code = main(["classify", "--input", str(path)])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": null, "entries": [[1.0]]}', '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["null n", "deep entries"],
+)
+def test_malformed_json_input_exits_1_without_traceback(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(permkernel.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "permkernel.cli", "permanent", "--input", str(path)],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+CELLS = st.floats(-4.0, 4.0) | st.integers(-4, 4) | st.floats() | st.integers()
+JSON_MATRICES = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(CELLS, min_size=n, max_size=n), min_size=n, max_size=n)
+) | st.lists(st.lists(CELLS, max_size=3), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["permanent", "classify"]),
+    doc=JSON_VALUES
+    | st.fixed_dictionaries(
+        {"entries": JSON_MATRICES | JSON_VALUES}, optional={"n": st.integers(0, 4) | JSON_VALUES}
+    ),
+)
+def test_any_json_input_keeps_the_exit_contract(command, doc):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "m.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--input", str(path), "--b", "0.5"]
+        if command == "classify":
+            argv += ["--gamma-grid", "0.1,1", "--max-order", "3"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
 
 
 def test_reduce_scan_structure(tmp_path, capsys):

@@ -44,3 +44,25 @@ def test_rejects_non_square():
         matrix_from_json("[1, 2]")
     with pytest.raises(DimensionMismatch):
         matrix_from_csv("1,a\n2,3\n")
+
+
+MALFORMED_JSON = {
+    "null n": '{"n": null, "entries": [[1.0]]}',
+    "list n": '{"n": [2], "entries": [[1.0, 0.0], [0.0, 1.0]]}',
+    "fractional n": '{"n": 2.9, "entries": [[1.0, 0.0], [0.0, 1.0]]}',
+    "boolean n": '{"n": true, "entries": [[1.0]]}',
+    "object entries": '{"entries": {"a": 1}}',
+    "object row": '{"entries": [{"a": 1}]}',
+    "string cell": '{"entries": [[1.0, "2"], [3.0, 4.0]]}',
+    "deep entries": '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+def test_malformed_json_is_a_dimension_mismatch(text):
+    with pytest.raises(DimensionMismatch):
+        matrix_from_json(text)
+
+
+def test_integral_float_n_is_accepted():
+    assert np.array_equal(matrix_from_json('{"n": 2.0, "entries": [[1, 0], [0, 1]]}'), np.eye(2))

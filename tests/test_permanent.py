@@ -370,13 +370,27 @@ def test_positivity_scan_runs_at_the_order_cap():
 def test_scan_level_targets_past_int64_base_n_codes(n, d):
     # n^d overflows int64 here, so base-n codes of the multisets would wrap
     rank = {k: i for i, k in enumerate(itertools.combinations_with_replacement(range(n), d))}
-    selections, _, plan = permanent._scan_level(n, d)
-    assert [tuple(i - 1 for i in k) for k in selections] == list(rank)
-    for s, (target, subset, source) in enumerate(plan, start=1):
-        subsets = permanent.subset_table(n, s)[subset]
-        sources = permanent._multisets(n, d - s)[source]
-        merged = np.sort(np.concatenate([sources, subsets], axis=1), axis=1)
-        assert target.tolist() == [rank[k] for k in map(tuple, merged.tolist())]
+    assert list(map(tuple, permanent._multisets(n, d).tolist())) == list(rank)
+    _, plan = permanent._scan_level(n, d)
+    for s, target in enumerate(plan, start=1):
+        subsets = permanent.subset_table(n, s).tolist()
+        sources = permanent._multisets(n, d - s).tolist()
+        # row j, column S: the rank of the multiset j + 1_S
+        assert target.tolist() == [[rank[tuple(sorted(j + c))] for c in subsets] for j in sources]
+
+
+def _index_bytes(value) -> int:
+    """Bytes of the integer arrays held, at any depth, in tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        return sum(_index_bytes(item) for item in value)
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        return value.nbytes
+    return 0
+
+
+def test_cached_order_8_plan_at_n_8_holds_only_its_targets():
+    # 150,749 (multiset, subset) pairs, one 8-byte target each
+    assert _index_bytes(permanent._scan_level(8, 8)) <= 1.3e6
 
 
 def test_positivity_scan_order_cap():
@@ -547,7 +561,8 @@ def test_stacked_grid_matches_the_per_gamma_route():
         want = vere_jones_per_gamma(g, b, grid or default_gamma_grid(), order)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
         # the stack is cut into pieces of at most this many gammas
-        chunked += 2**16 // permanent._plan_pairs(n, order) < len(got.gamma_scans)
+        pairs = sum(target.size for target in permanent._scan_level(n, order)[1])
+        chunked += 2**16 // pairs < len(got.gamma_scans)
         for scan in got.gamma_scans:
             statuses.add((scan.status, scan.signature_certificate))
             if scan.witness:
