@@ -48,13 +48,13 @@ class Tolerance:
         quantity of that degree in the entries of `a` (k for a k x k minor)
         counts as zero. Without `axis`, a Python float, and OverflowError
         when the power is not a double; with `axis`, one value per matrix
-        of a stack (the max runs over `axis`), and numpy's inf and overflow
-        warning where the power is not a double.
+        of a stack (the max runs over `axis`) or degree of an array of
+        degrees, and numpy's inf and overflow warning where it overflows.
         """
         if axis is None:
             return self.zero_tol * float(np.abs(a).max(initial=1.0)) ** degree
         scale = np.abs(a).max(axis=axis, initial=1.0)
-        if degree == 1:  # most callers; float_power would cost more than the rest
+        if isinstance(degree, int) and degree == 1:  # most callers; float_power costs more than the rest
             return self.zero_tol * scale
         # float_power rounds as Python's pow does; np.power and ** take an
         # integer-exponent path that can differ in the last bit
@@ -66,7 +66,10 @@ DEFAULT_TOL = Tolerance()
 
 def as_matrix(entries) -> np.ndarray:
     """Coerce to a finite square float matrix (n >= 1)."""
-    a = np.array(entries, dtype=float)
+    try:
+        a = np.array(entries, dtype=float)
+    except OverflowError as exc:  # a Python int beyond a double
+        raise ValueError("matrix entries must be finite") from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -241,17 +244,16 @@ def _minor_table(stack: np.ndarray) -> np.ndarray:
     the complement's first diagonal entry, and the complement of A[S + k]
     is one rank-one update of the rest. That is O(2^n) work in all
     (Griffin and Tsatsomeros, Principal minors, Part I, 2006). A complement
-    that is not finite or holds an entry above GROWTH_LIMIT * max|A| is not
-    trusted (a zero or tiny pivot made it), and the minors beneath it are
-    recomputed by LU, with one batched determinant per subset size. The
-    values of a matrix do not depend on the rest of the stack.
+    that is not finite or holds an entry above GROWTH_LIMIT * max|A| (a zero
+    or tiny pivot made it) is set to NaN, and so is every minor beneath it.
+    LU recomputes each minor that is not a finite double, one batched
+    determinant per size; no value depends on the rest of the stack.
     """
     n = stack.shape[-1]
     masks, _ = _subset_masks(n)
     a = stack.reshape(-1, n, n)
     limit = GROWTH_LIMIT * np.abs(a).max(axis=(1, 2))[:, None]
     table = np.ones((len(a), 1))
-    bad = untrusted = np.zeros((len(a), 1), dtype=bool)
     # comp[j, :, :, S]: the complement of A_j[S] on range(k, n); the subset
     # axis is last, so each operation runs along 2^k contiguous entries
     comp = a[..., None]
@@ -259,17 +261,17 @@ def _minor_table(stack: np.ndarray) -> np.ndarray:
         for k in range(n):
             pivot = comp[:, 0, 0]
             table = np.concatenate((table, table * pivot), axis=1)
-            untrusted = np.concatenate((untrusted, bad), axis=1)
             if k == n - 1:
                 break
             rest = comp[:, 1:, 1:]
             grown = rest - comp[:, 1:, :1] * (comp[:, :1, 1:] / pivot[:, None, None])
             tripped = ~(np.abs(grown).max(axis=(1, 2)) <= limit)  # NaN trips too
-            bad = np.concatenate((bad, bad | tripped), axis=1)
+            if tripped.any():
+                np.copyto(grown, np.nan, where=tripped[:, None, None])
             comp = np.concatenate((rest, grown), axis=3)
-    if untrusted.any():
+    if not np.isfinite(table).all():
         for m in range(1, n + 1):
-            rows, cols = np.nonzero(untrusted[:, masks[m]])
+            rows, cols = np.nonzero(~np.isfinite(table[:, masks[m]]))
             if rows.size:
                 z = subset_table(n, m)[cols]
                 table[rows, masks[m][cols]] = det(a[rows[:, None, None], z[:, :, None], z[:, None, :]])
@@ -298,8 +300,10 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     B can serve as kernels of the same vector. Exponential in n and refused
     above n = 16. The 1x1 and 2x2 minors are compared first, so a pair
     that differs there stops early; the rest come from one _minor_table of
-    the pair. A size-k minor counts as equal within
-    tol.threshold((A, B), k) or rel_tol.
+    the pair. A pair of size-k minors decides when both minors and its
+    floor tol.threshold((A, B), k) are finite doubles, and is equal within
+    that floor or rel_tol. A deciding pair that differs gives False; else
+    OverflowError names the smallest order with a pair that cannot decide.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -308,22 +312,21 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     n = a.shape[0]
     _, sizes = _subset_masks(n)
     pair = np.stack((a, b))
-    for m in range(1, min(n, 2) + 1):
-        ma, mb = _minors_of_size(pair, m)
-        if not np.all(close(ma, mb, tol.rel_tol, tol.threshold(pair, m))):
-            return False
-    ta, tb = _minor_table(pair)
-    scale = float(np.abs(pair).max(initial=1.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        # float_power rounds as Python's pow, so each floor is tol.threshold's
-        floors = tol.zero_tol * np.float_power(scale, np.arange(n + 1))
-        agree = close(ta, tb, tol.rel_tol, floors[sizes])
-    finite = np.isfinite(floors)
-    if not np.all(agree | ~finite[sizes]):
+        floors = tol.threshold(pair, np.arange(n + 1), axis=(0, 1, 2))
+        for m in range(1, min(n, 2) + 1):
+            minors = _minors_of_size(pair, m)
+            same = close(*minors, tol.rel_tol, floors[m]).all()
+            if not same and floors[m] < np.inf and np.isfinite(minors).all():
+                return False  # otherwise the table decides
+        table = _minor_table(pair)
+        agree = close(*table, tol.rel_tol, floors[sizes])
+        if agree.all() and np.isfinite(table).all() and np.isfinite(floors).all():
+            return True
+        decides = np.isfinite(table).all(axis=0) & np.isfinite(floors[sizes])
+    if np.any(decides & ~agree):
         return False
-    if not finite.all():
-        raise OverflowError(f"the zero threshold of order {int(finite.sum())} is not a finite double")
-    return True
+    raise OverflowError(f"the minors or floor of order {sizes[~decides].min()} are not finite doubles")
 
 
 def _positivity_signatures(a: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:

@@ -223,22 +223,22 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
     for d in range(1, max_order + 1):
         if not live.size:
             break
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             threshold = tol.threshold(stack, d, axis=(1, 2))
-        if not np.all(np.isfinite(threshold)):
-            # an infinite threshold would pass every value of the level
-            raise OverflowError(f"the zero threshold of order {d} is not a finite double")
-        if d <= n:
-            signed.append((-1.0) ** d * _minors_of_size(stack, d))
-        factorials, plan = _scan_level(n, d)
-        total = np.zeros((live.size, len(factorials)))
-        bins = np.arange(live.size)[:, None, None] * len(factorials)
-        for s, target in enumerate(plan, start=1):
-            terms = levels[d - s][:, :, None] * signed[s][:, None, :]
-            sums = np.bincount((bins + target).ravel(), terms.ravel(), total.size)
-            total += (d - s + b * s) * sums.reshape(total.shape)
-        f = -total / d
-        values = factorials * f
+            if d <= n:
+                signed.append((-1.0) ** d * _minors_of_size(stack, d))
+            factorials, plan = _scan_level(n, d)
+            total = np.zeros((live.size, len(factorials)))
+            bins = np.arange(live.size)[:, None, None] * len(factorials)
+            for s, target in enumerate(plan, start=1):
+                terms = levels[d - s][:, :, None] * signed[s][:, None, :]
+                sums = np.bincount((bins + target).ravel(), terms.ravel(), total.size)
+                total += (d - s + b * s) * sums.reshape(total.shape)
+            f = -total / d
+            values = factorials * f
+        if not (np.isfinite(threshold).all() and np.isfinite(values).all()):
+            # an infinite threshold would pass every value, and NaN passes any
+            raise OverflowError(f"the values or zero threshold of order {d} are not finite doubles")
         bad = values < -threshold[:, None]
         levels.append(f)
         failed = bad.any(axis=1)
@@ -271,9 +271,9 @@ def is_b_positive_definite(
     turn, each multiset in itertools.combinations_with_replacement order,
     one nondecreasing representative per multiset (per_b is invariant under
     simultaneous relabeling). The first value below -tol.threshold(A, d) is
-    the witness; a threshold that overflows raises OverflowError, and a
-    non-finite b raises ValueError. This is the one-matrix case of the
-    stacked scan vere_jones_check runs.
+    the witness; a level with a threshold or value beyond a double raises
+    OverflowError naming its order, and a non-finite b raises ValueError.
+    This is the one-matrix case of the stacked scan vere_jones_check runs.
     """
     if not math.isfinite(b):
         raise ValueError("exponent b must be finite")

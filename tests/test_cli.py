@@ -175,8 +175,12 @@ def test_non_square_input_is_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"n": null, "entries": [[1.0]]}', '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}"],
-    ids=["null n", "deep entries"],
+    [
+        '{"n": null, "entries": [[1.0]]}',
+        '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"entries": [[1' + "0" * 400 + "]]}",
+    ],
+    ids=["null n", "deep entries", "integer beyond a double"],
 )
 def test_malformed_json_input_exits_1_without_traceback(tmp_path, text):
     path = tmp_path / "bad.json"
@@ -424,6 +428,24 @@ def test_overflow_is_a_one_line_numerical_failure(tmp_path, capsys):
     assert code == 2
     assert err.startswith("numerical failure in vere-jones")
     assert err.count("\n") == 1
+
+
+def test_scan_values_beyond_a_double_are_a_one_line_numerical_failure(tmp_path, capsys):
+    # the order-5 threshold, 2.4e298, is a double, but the values of order
+    # 5 are not; NaN would pass the comparison with the threshold
+    a = np.array([[1.0, 0.87, 0.94], [-0.23, 0.54, -0.25], [0.19, 0.74, 0.91]])
+    path = write_fixture(tmp_path, 3e61 * a)
+    argv = ["vere-jones", "--input", path, "--b", "2", "--gamma-grid", "1e-300", "--max-order", "5"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "numerical failure in vere-jones: OverflowError: " + (
+        "the values or zero threshold of order 5 are not finite doubles\n"
+    )
+    assert not caught
 
 
 def test_permanent_overflow_is_a_one_line_numerical_failure(tmp_path, capsys):

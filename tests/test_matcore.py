@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -45,6 +45,13 @@ BLOCKWISE_DET = 0.48945
 BLOCKWISE_INV_23 = 0.1164572479313515
 
 
+HADAMARD = np.array(
+    [[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]
+)
+# fails at (1, 1, 2, 2, 3) with -3.21 at b = 2, order 5
+FAILS_AT_ORDER_5 = np.array([[1.0, 0.87, 0.94], [-0.23, 0.54, -0.25], [0.19, 0.74, 0.91]])
+
+
 finite_4x4 = arrays(
     np.float64,
     (4, 4),
@@ -59,6 +66,9 @@ def test_as_matrix_rejects_bad_shapes():
         as_matrix([1.0, 2.0])
     with pytest.raises(ValueError):
         as_matrix([[np.nan]])
+    # a Python int beyond a double is bad input, not a failed computation
+    with pytest.raises(ValueError, match="must be finite"):
+        as_matrix([[10**400]])
 
 
 def test_determinant_trivial_cases():
@@ -379,6 +389,11 @@ def test_minor_table_matches_the_batched_lu_oracle():
             error = np.abs(_minor_table(a) - minor_table_lu(a))
             assert np.all(error <= 1e-13 * scale), (name, n)
             assert _minor_table(np.stack((a, 2 * a)))[1].tolist() == _minor_table(2 * a).tolist()
+    # a product that overflows, or meets a zero pivot after overflowing, is
+    # not a finite double: LU gives the minor
+    assert principal_minors(np.diag([1e200, 1e200, 0.0]))[(1, 2, 3)] == 0.0
+    tiny = np.diag([1e200, 1e200, 1e-200])
+    assert principal_minors(tiny)[(1, 2, 3)] == determinant(tiny) == 1.000000000000022e200
 
 
 def test_effectively_equivalent_verdicts_match_the_oracle():
@@ -400,11 +415,18 @@ def test_effectively_equivalent_verdicts_match_the_oracle():
                 assert effectively_equivalent(a, b) == effectively_equivalent_by_size(a, b), (name, n)
     # a floor that overflows is an error once every smaller size agrees
     big = 1e100 * np.eye(4)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="order 4"):
         effectively_equivalent(big, big)
     cycle = big.copy()
     cycle[[0, 1, 2], [1, 2, 0]] = 1e100  # changes the {1, 2, 3} minor alone
     assert not effectively_equivalent(big, cycle)
+    # so is a minor beyond a double, at every order: 1e200^2 at order 2,
+    # and det(1e77 H) = 16e308 of a 4x4 Hadamard matrix H, whose floor
+    # 1e-9 * 1e308 is finite
+    with pytest.raises(OverflowError, match="order 2"):
+        effectively_equivalent(1e200 * np.eye(3), 1e200 * np.eye(3))
+    with pytest.raises(OverflowError, match="order 4"):
+        effectively_equivalent(1e77 * HADAMARD, 1e77 * HADAMARD)
 
 
 def test_find_positivity_signature_positive_matrix():
@@ -474,6 +496,10 @@ def test_threshold_on_a_stack_matches_each_matrix_to_the_bit():
     for degree in range(1, 9):
         expected = [tol.threshold(a, degree) for a in stack]
         assert tol.threshold(stack, degree, axis=(1, 2)).tolist() == expected
+    # effectively_equivalent's floors: one value per degree of an array
+    for a in stack[:20]:
+        expected = [tol.threshold(a, degree) for degree in range(9)]
+        assert tol.threshold(a, np.arange(9), axis=(0, 1)).tolist() == expected
 
 
 def test_threshold_overflow_raises_without_axis():
@@ -485,3 +511,35 @@ def test_threshold_overflow_raises_without_axis():
         tol.threshold(big, 3)
     with np.errstate(over="ignore"):
         assert tol.threshold(big[None], 3, axis=(1, 2)).tolist() == [np.inf]
+
+
+# rounded 3x3 matrices with max|A| = 1: entries in tenths, so every value
+# of a scan up to order 5 is zero or at least 1e-5 / 2^5 in magnitude, far
+# from the zero threshold at every scale
+rounded_3x3 = st.lists(st.integers(-10, 10), min_size=9, max_size=9).filter(
+    lambda v: max(map(abs, v)) == 10
+).map(lambda v: np.array(v, dtype=float).reshape(3, 3) / 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=rounded_3x3,
+    b=st.sampled_from([0.5, 1.0, 2.0]),
+    c=st.integers(0, 75).map(lambda k: 10.0**k),
+)
+@example(a=FAILS_AT_ORDER_5, b=2.0, c=3e61)
+@example(a=HADAMARD, b=1.0, c=1e77)
+def test_verdicts_survive_scaling_or_raise_overflow(a, b, c):
+    # a value or floor beyond a double must not pass silently
+    unscaled = is_b_positive_definite(a, b, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            scan = is_b_positive_definite(c * a, b, 5)
+            assert (scan.passed, scan.witness) == (unscaled.passed, unscaled.witness)
+        except OverflowError:
+            pass
+        try:
+            assert effectively_equivalent(c * a, c * a)
+        except OverflowError:
+            pass

@@ -511,6 +511,13 @@ def test_scan_threshold_overflow_names_the_order():
     # order 1 passes (the diagonal is positive); the order-2 threshold overflows
     with pytest.raises(OverflowError, match="order 2"):
         is_b_positive_definite([[1e160, -1e160], [1e160, 1e160]], 0.5, max_order=3)
+    # a finite threshold (2.4e298 at order 5) over values that are not
+    # doubles: NaN < -threshold is False, so the scan would pass a matrix
+    # that fails at (1, 1, 2, 2, 3) unscaled
+    a = np.array([[1.0, 0.87, 0.94], [-0.23, 0.54, -0.25], [0.19, 0.74, 0.91]])
+    assert is_b_positive_definite(a, 2, 5).witness == (1, 1, 2, 2, 3)
+    with pytest.raises(OverflowError, match="order 5"):
+        is_b_positive_definite(3e61 * a, 2, 5)
 
 
 def test_vere_jones_scratch_memory_at_the_order_cap():

@@ -8,6 +8,7 @@ import pytest
 
 from permkernel import (
     IndexOutOfRange,
+    JohnsonSmithResult,
     PoleAtSigma,
     SingularBlock,
     Tolerance,
@@ -16,6 +17,7 @@ from permkernel import (
     conditioning_kernel,
     effectively_equivalent,
     inverse,
+    is_inverse_m_matrix,
     is_symmetrizable_3x3,
     johnson_smith_inverse_m,
     ratio_matrix,
@@ -251,6 +253,17 @@ def test_johnson_smith_on_doubled_kernels():
     result = johnson_smith_inverse_m(block_double(one_symmetrizable_triple(), 0.0), 4)
     assert result.verdict
     assert result.failed_condition is None
+
+
+def test_johnson_smith_fails_at_condition_iv():
+    # H passes (i) to (iii), and (iv) has a negative entry; transposing H
+    # swaps the products of (iii) and (iv)
+    h = np.array(
+        [[3.1, 0.9, 0.1, 0.3], [0.2, 3.3, 0.8, 0.2], [0.1, 0.4, 3.0, 0.1], [0.6, 0.3, 0.7, 3.0]]
+    )
+    assert johnson_smith_inverse_m(h, 2) == JohnsonSmithResult(False, "iv")
+    assert johnson_smith_inverse_m(h.T, 2) == JohnsonSmithResult(False, "iii")
+    assert not is_inverse_m_matrix(h)
 
 
 def test_johnson_smith_solves_each_block_once(monkeypatch):
