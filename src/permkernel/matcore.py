@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,82 +201,88 @@ def signature_conjugate(a, signs) -> np.ndarray:
 def subset_table(n: int, m: int) -> np.ndarray:
     """The C(n, m) 0-based subsets of size m of range(n), in combinations
     order, as a read-only (C, m) array; built once per (n, m)."""
-    subsets = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp).reshape(-1, m)
+    combinations = list(itertools.combinations(range(n), m))
+    subsets = np.array(combinations, dtype=np.intp).reshape(len(combinations), m)
     subsets.flags.writeable = False
     return subsets
 
 
-def _minors_of_size(a: np.ndarray, m: int) -> np.ndarray:
-    """The size-m principal minors of a stack (..., n, n), shape (..., C),
-    in subset_table order, with one batched determinant over the whole
-    stack."""
-    z = subset_table(a.shape[-1], m)
-    sub = a[..., z[:, :, None], z[:, None, :]]
-    return det(sub.reshape(-1, m, m)).reshape(sub.shape[:-2])
-
-
-@functools.lru_cache(maxsize=MAX_ENUMERATION_DIM + 1)
-def _subset_masks(n: int) -> tuple[tuple, np.ndarray]:
-    """(masks, sizes): masks[m] holds the bitmask (bit i for index i) of
-    each size-m subset of range(n) in subset_table order, and sizes[mask]
-    is the size of that subset. Read-only; refused above n = 16."""
-    if n > MAX_ENUMERATION_DIM:
+@functools.lru_cache(maxsize=64)
+def _table_columns(n: int, max_size: int) -> tuple[tuple, np.ndarray]:
+    """(columns, sizes) of a _minor_table capped at max_size: columns[m]
+    holds the column of each size-m subset of range(n), in subset_table
+    order, and sizes[c] the size of column c's subset. Read-only; the full
+    table (max_size = n) is refused above n = 16. The table is in increasing
+    bitmask order, colex order within one size, so T = {t_1 < ... < t_m}
+    follows, for each i, the sum over j <= max_size - m + i of C(t_i, j)
+    sets that agree with T above t_i and lack t_i (2^t_i at max_size = n)."""
+    if max_size == n > MAX_ENUMERATION_DIM:
         raise DimensionTooLarge(
             f"principal-minor enumeration is capped at n = {MAX_ENUMERATION_DIM}"
         )
-    masks = (np.zeros(1, dtype=np.intp),) + tuple(
-        (1 << subset_table(n, m)).sum(axis=1) for m in range(1, n + 1)
+    at_most = np.cumsum([[math.comb(x, j) for j in range(max_size + 1)] for x in range(n)], axis=1)
+    columns = tuple(
+        at_most[subset_table(n, m), np.arange(max_size - m + 1, max_size + 1)].sum(axis=1)
+        for m in range(max_size + 1)
     )
-    sizes = np.empty(1 << n, dtype=np.intp)
-    for m, of_size in enumerate(masks):
+    sizes = np.empty(sum(map(len, columns)), dtype=np.intp)
+    for m, of_size in enumerate(columns):
         sizes[of_size] = m
         of_size.flags.writeable = False
     sizes.flags.writeable = False
-    return masks, sizes
+    return columns, sizes
 
 
-def _minor_table(stack: np.ndarray) -> np.ndarray:
-    """Every principal minor of each matrix of a stack (..., n, n), shape
-    (..., 2^n): entry T is the minor on the indices of the set bits of T,
-    and entry 0 is 1.
+def _minor_table(stack: np.ndarray, max_size: int | None = None) -> list[np.ndarray]:
+    """The principal minors of size <= max_size (default n) of each matrix
+    of a stack (..., n, n), by size: entry m has shape (..., C(n, m)) and
+    holds the size-m minors in subset_table order. Entry 0 is all ones.
 
-    Level k extends the Schur complement on range(k, n) of each A[S],
-    S a subset of range(k), by index k: det A[S + k] = det A[S] * pivot,
-    the complement's first diagonal entry, and the complement of A[S + k]
-    is one rank-one update of the rest. That is O(2^n) work in all
-    (Griffin and Tsatsomeros, Principal minors, Part I, 2006). A complement
-    that is not finite or holds an entry above GROWTH_LIMIT * max|A| (a zero
-    or tiny pivot made it) is set to NaN, and so is every minor beneath it.
-    LU recomputes each minor that is not a finite double, one batched
-    determinant per size; no value depends on the rest of the stack.
+    Level k extends the Schur complement on range(k, n) of each A[S], S in
+    range(k) below max_size elements, by index k: det A[S + k] = det A[S] *
+    pivot, the complement's first diagonal entry, and while S + k stays
+    below max_size elements its complement is one rank-one update of the
+    rest (Griffin and Tsatsomeros, Principal minors, Part I, 2006; O(2^n)
+    for the full table). A complement that is not finite or holds an entry
+    above GROWTH_LIMIT * max|A| (a zero or tiny pivot made it) is NaN, and
+    so is every minor beneath it. LU recomputes each minor that is not a
+    finite double, one batched determinant per size. No value depends on
+    the rest of the stack.
     """
     n = stack.shape[-1]
-    masks, _ = _subset_masks(n)
+    max_size = n if max_size is None else min(max_size, n)
+    columns, sizes = _table_columns(n, max_size)
     a = stack.reshape(-1, n, n)
     limit = GROWTH_LIMIT * np.abs(a).max(axis=(1, 2))[:, None]
     table = np.ones((len(a), 1))
-    # comp[j, :, :, S]: the complement of A_j[S] on range(k, n); the subset
-    # axis is last, so each operation runs along 2^k contiguous entries
-    comp = a[..., None]
+    # comp[j, :, :, i]: the complement on range(k, n) of A_j[S], S the i-th set within range(k)
+    # below max_size elements (table order; all of the table when uncapped), of minor base[j, i];
+    # S + k grows on while extends[i]. Subsets are last, so operations run on contiguous entries
+    comp, base, extends = a[..., None], table, sizes[sizes < max_size] < max_size - 1
     with np.errstate(all="ignore"):
         for k in range(n):
-            pivot = comp[:, 0, 0]
-            table = np.concatenate((table, table * pivot), axis=1)
+            extended = base * comp[:, 0, 0]
+            table = np.concatenate((table, extended), axis=1)
             if k == n - 1:
                 break
             rest = comp[:, 1:, 1:]
-            grown = rest - comp[:, 1:, :1] * (comp[:, :1, 1:] / pivot[:, None, None])
+            if max_size < n:  # a set that reaches max_size elements stops growing
+                grows = extends[: base.shape[1]]
+                comp, extended = comp[..., grows], extended[:, grows]
+            grown = comp[:, 1:, 1:] - comp[:, 1:, :1] * (comp[:, :1, 1:] / comp[:, :1, :1])
             tripped = ~(np.abs(grown).max(axis=(1, 2)) <= limit)  # NaN trips too
             if tripped.any():
                 np.copyto(grown, np.nan, where=tripped[:, None, None])
             comp = np.concatenate((rest, grown), axis=3)
+            base = np.concatenate((base, extended), axis=1) if max_size < n else table
+    minors = [table[:, of_size] for of_size in columns]
     if not np.isfinite(table).all():
-        for m in range(1, n + 1):
-            rows, cols = np.nonzero(~np.isfinite(table[:, masks[m]]))
+        for m, of_size in enumerate(minors):
+            rows, cols = np.nonzero(~np.isfinite(of_size))
             if rows.size:
                 z = subset_table(n, m)[cols]
-                table[rows, masks[m][cols]] = det(a[rows[:, None, None], z[:, :, None], z[:, None, :]])
-    return table.reshape(*stack.shape[:-2], 1 << n)
+                of_size[rows, cols] = det(a[rows[:, None, None], z[:, :, None], z[:, None, :]])
+    return [of_size.reshape(stack.shape[:-2] + of_size.shape[1:]) for of_size in minors]
 
 
 def principal_minors(a) -> dict:
@@ -283,12 +290,11 @@ def principal_minors(a) -> dict:
     and then in itertools.combinations order. Refused above n = 16."""
     a = as_matrix(a)
     n = a.shape[0]
-    table = _minor_table(a)
-    masks, _ = _subset_masks(n)
+    minors = _minor_table(a)
     return {
         tuple(idx): minor
         for m in range(1, n + 1)
-        for idx, minor in zip((subset_table(n, m) + 1).tolist(), table[masks[m]].tolist())
+        for idx, minor in zip((subset_table(n, m) + 1).tolist(), minors[m].tolist())
     }
 
 
@@ -298,11 +304,12 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     Equality of all principal minors is the multilinear restatement of
     |I + xA| = |I + xB| for every diagonal x, so this decides whether A and
     B can serve as kernels of the same vector. Exponential in n and refused
-    above n = 16. The 1x1 and 2x2 minors are compared first, so a pair
-    that differs there stops early; the rest come from one _minor_table of
-    the pair. A pair of size-k minors decides when both minors and its
-    floor tol.threshold((A, B), k) are finite doubles, and is equal within
-    that floor or rel_tol. A deciding pair that differs gives False; else
+    above n = 16. The 1x1 and 2x2 minors, a_ii and a_ii a_jj - a_ij a_ji,
+    are read from the pair and compared first, so a pair that differs there
+    stops early; the rest come from one _minor_table of the pair. A pair of
+    size-k minors decides when both minors and its floor
+    tol.threshold((A, B), k) are finite doubles, and is equal within that
+    floor or rel_tol. A deciding pair that differs gives False; else
     OverflowError names the smallest order with a pair that cannot decide.
     """
     a = as_matrix(a)
@@ -310,23 +317,26 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
     n = a.shape[0]
-    _, sizes = _subset_masks(n)
     pair = np.stack((a, b))
+    d = pair.diagonal(axis1=1, axis2=2)
+    i, j = subset_table(n, 2).T
     with np.errstate(over="ignore", invalid="ignore"):
         floors = tol.threshold(pair, np.arange(n + 1), axis=(0, 1, 2))
-        for m in range(1, min(n, 2) + 1):
-            minors = _minors_of_size(pair, m)
+        direct = (d, d[:, i] * d[:, j] - pair[:, i, j] * pair[:, j, i])
+        for m, minors in zip(range(1, n + 1), direct):  # no 2x2 minors at n = 1
             same = close(*minors, tol.rel_tol, floors[m]).all()
             if not same and floors[m] < np.inf and np.isfinite(minors).all():
                 return False  # otherwise the table decides
-        table = _minor_table(pair)
-        agree = close(*table, tol.rel_tol, floors[sizes])
-        if agree.all() and np.isfinite(table).all() and np.isfinite(floors).all():
-            return True
-        decides = np.isfinite(table).all(axis=0) & np.isfinite(floors[sizes])
-    if np.any(decides & ~agree):
-        return False
-    raise OverflowError(f"the minors or floor of order {sizes[~decides].min()} are not finite doubles")
+        undecided = []  # orders with a pair that cannot decide
+        for m, minors in enumerate(_minor_table(pair)):
+            decides = np.isfinite(minors).all(axis=0) & np.isfinite(floors[m])
+            if np.any(decides & ~close(*minors, tol.rel_tol, floors[m])):
+                return False
+            if not decides.all():
+                undecided.append(m)
+    if undecided:
+        raise OverflowError(f"the minors or floor of order {undecided[0]} are not finite doubles")
+    return True
 
 
 def _positivity_signatures(a: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ from .matcore import (
     DEFAULT_TOL,
     STACK_BUDGET,
     Tolerance,
-    _minors_of_size,
+    _minor_table,
     _positivity_signatures,
     _resolvents,
     as_matrix,
@@ -189,16 +189,16 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
     """The level recurrence of is_b_positive_definite on a (k, n, n) stack
     of matrices; one PositivityScan per matrix, in stack order.
 
-    Each level takes one batched determinant for the minors of all live
-    matrices and one bincount per plan entry, with matrix j's bins at
-    j * (multisets of the level) + target. Every bin sums its terms in the
-    same order as for one matrix alone, so the values do not depend on the
-    stack. A matrix whose level has a value below its threshold leaves the
-    stack with the first such multiset as its witness, and no larger
-    minors of it are computed. At most STACK_BUDGET // (targets in the top
-    level's plan) matrices are stacked, so that a level's terms hold about
-    STACK_BUDGET entries or one matrix's plan: a small plan takes a whole
-    gamma grid, an order-8 scan at n = 8 one matrix at a time.
+    Every minor it reads comes from one _minor_table of the stack, capped
+    at size max_order. Each level takes one bincount per plan entry, with
+    matrix j's bins at j * (multisets of the level) + target, summing its
+    terms in the same order as for one matrix alone, so no value depends on
+    the stack. A matrix whose level has a value below its threshold leaves
+    the stack with the first such multiset as its witness. At most
+    STACK_BUDGET // (targets in the top level's plan) matrices are stacked,
+    so a level's terms hold about STACK_BUDGET entries or one matrix's
+    plan: a small plan takes a whole gamma grid, an order-8 scan at n = 8
+    one matrix at a time.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -218,15 +218,14 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
         ]
     scans = [PositivityScan(True, max_order)] * len(stack)
     live = np.arange(len(stack))
-    signed = [None]  # signed[s][j, i]: D_S of matrix j for the i-th size-s subset S
+    # signed[s][j, i]: D_S of matrix j for the i-th size-s subset S
+    signed = [(-1.0) ** s * minors for s, minors in enumerate(_minor_table(stack, max_order))]
     levels = [np.ones((len(stack), 1))]  # levels[d][j, i]: f_k of matrix j, i-th size-d multiset k
     for d in range(1, max_order + 1):
         if not live.size:
             break
         with np.errstate(over="ignore", invalid="ignore"):
             threshold = tol.threshold(stack, d, axis=(1, 2))
-            if d <= n:
-                signed.append((-1.0) ** d * _minors_of_size(stack, d))
             factorials, plan = _scan_level(n, d)
             total = np.zeros((live.size, len(factorials)))
             bins = np.arange(live.size)[:, None, None] * len(factorials)
@@ -250,7 +249,7 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
                 )
             keep = ~failed
             live, stack = live[keep], stack[keep]
-            signed = [None] + [x[keep] for x in signed[1:]]
+            signed = [x[keep] for x in signed]
             levels = [x[keep] for x in levels]
     return scans
 
@@ -267,13 +266,14 @@ def is_b_positive_definite(
     the Euler operator turns P F' = -b P' F into
         d f_k = -sum_{nonempty S within supp k} D_S f_{k - 1_S} (d - |S| + b|S|)
     for |k| = d, so per_b(A[k]) = k! f_k needs only the principal minors of
-    A of size <= max_order. Levels d = 1, 2, ... are computed and checked in
-    turn, each multiset in itertools.combinations_with_replacement order,
-    one nondecreasing representative per multiset (per_b is invariant under
-    simultaneous relabeling). The first value below -tol.threshold(A, d) is
-    the witness; a level with a threshold or value beyond a double raises
-    OverflowError naming its order, and a non-finite b raises ValueError.
-    This is the one-matrix case of the stacked scan vere_jones_check runs.
+    A of size <= max_order, all read from one capped Schur-complement table
+    before level 1. Levels d = 1, 2, ... are checked in turn, each multiset
+    in itertools.combinations_with_replacement order, one nondecreasing
+    representative per multiset (per_b is invariant under simultaneous
+    relabeling). The first value below -tol.threshold(A, d) is the witness;
+    a level with a threshold or value beyond a double raises OverflowError
+    naming its order, and a non-finite b raises ValueError. This is the
+    one-matrix case of the stacked scan vere_jones_check runs.
     """
     if not math.isfinite(b):
         raise ValueError("exponent b must be finite")

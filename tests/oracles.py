@@ -12,8 +12,9 @@ calls the library's one-matrix functions gamma by gamma, and the per-call
 b-permanent, which rebuilds per_b's index tables at every call and, unlike
 per_b, leaves all-zero Held-Karp path rows unextended. A batched-LU route,
 one determinant per subset size, is the reference for the principal-minor
-table (to a Hadamard-scaled tolerance) and for the verdicts of
-effectively_equivalent.
+table, full or capped at any size (to a Hadamard-scaled tolerance), and
+for the verdicts of effectively_equivalent; the library itself takes an LU
+determinant only for a minor its table cannot trust.
 """
 
 import itertools

@@ -152,6 +152,22 @@ def test_vere_jones_failure_verdict(tmp_path, capsys):
     assert json.loads(out)["report"]["overall"] == "fail"
 
 
+def test_vere_jones_scans_above_the_minor_enumeration_cap(tmp_path, capsys):
+    # a 17x17 is beyond every-minor enumeration (n = 16), but an order-2
+    # scan reads only its 1x1 and 2x2 minors
+    rng = np.random.default_rng(17)
+    root = rng.uniform(0.0, 0.2, (17, 17)) + np.eye(17)
+    path = write_fixture(tmp_path, root @ root.T)
+    code, out = run_cli(
+        capsys, "vere-jones", "--input", path, "--max-order", "2", "--deterministic"
+    )
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["max_order"] == 2 and len(report["real_eigenvalues"]) == 17
+    scanned = [scan for scan in report["condition_ii"] if not scan["signature_certificate"]]
+    assert scanned and all(scan["status"] == "pass" for scan in scanned)
+
+
 def test_vere_jones_all_poles_is_numerical_failure(tmp_path, capsys):
     path = write_fixture(tmp_path, -np.eye(2))
     code, out = run_cli(

@@ -30,8 +30,9 @@ from permkernel import (
     signature_conjugate,
 )
 import permkernel
+from permkernel import matcore
 from permkernel.gallery import blockwise_inverse_m
-from permkernel.matcore import _minor_table
+from permkernel.matcore import _minor_table, _table_columns, subset_table
 
 from oracles import (
     det_cofactor,
@@ -346,16 +347,32 @@ def test_minors_take_one_batched_determinant_per_size(monkeypatch):
     calls.clear()
     b = a.copy()
     b[0, 1] *= 1.1  # changes 2x2 minors first
+    tables = []
+    minor_table = matcore._minor_table
+    monkeypatch.setattr(matcore, "_minor_table", lambda x: tables.append(x) or minor_table(x))
+    # the pre-check reads the 1x1 and 2x2 minors from the pair itself, and
+    # they decide: neither LU nor the table runs
     assert not effectively_equivalent(a, b)
-    assert calls == [(12, 1, 1), (30, 2, 2)]
-    calls.clear()
-    # the scan reads minors only up to its order, and stops at a failing level
-    assert is_b_positive_definite(a, 0.5, max_order=3).passed
-    assert [shape[1:] for shape in calls] == [(1, 1), (2, 2), (3, 3)]
-    calls.clear()
-    a[2, 2] = -1.0
-    assert not is_b_positive_definite(a, 0.5, max_order=3).passed
-    assert len(calls) == 1
+    assert calls == [] and tables == []
+    assert effectively_equivalent(a, a.T)
+    assert calls == [] and len(tables) == 1
+
+
+def test_effectively_equivalent_decides_1x1_pairs():
+    # a 1x1 pair has no 2x2 minors: the pre-check reads the diagonal alone
+    assert effectively_equivalent([[2.0]], [[2.0]])
+    assert not effectively_equivalent([[2.0]], [[3.0]])
+    assert effectively_equivalent([[-0.1]], [[-0.1]])
+
+
+def test_effectively_equivalent_reads_the_diagonal_exactly(monkeypatch):
+    # np.linalg.det([[-0.1]]) is -0.10000000000000002; the size-1
+    # pre-check compares the diagonal entries themselves
+    compared = []
+    close = matcore.close
+    monkeypatch.setattr(matcore, "close", lambda *args: compared.append(args[:2]) or close(*args))
+    assert effectively_equivalent([[-0.1, 1.0], [2.0, 0.3]], [[-0.1, 2.0], [1.0, 0.3]])
+    assert [x.tolist() for x in compared[0]] == [[-0.1, 0.3], [-0.1, 0.3]]
 
 
 def _minor_families(rng, n: int) -> dict:
@@ -378,22 +395,85 @@ def _minor_families(rng, n: int) -> dict:
     }
 
 
+def _column_masks(n: int, max_size: int) -> np.ndarray:
+    """The bitmask of the index set of each column of a capped table."""
+    columns, _ = _table_columns(n, max_size)
+    masks = np.zeros(sum(map(len, columns)), dtype=np.intp)
+    for m in range(1, max_size + 1):
+        masks[columns[m]] = (1 << subset_table(n, m)).sum(axis=1)
+    return masks
+
+
+def _lu_minors(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size-m principal minors of a by LU, in subset_table order, and
+    the Hadamard bound of each: |det A[S]| <= the product of the norms of
+    the rows of A[S]."""
+    z = subset_table(a.shape[0], m)
+    blocks = a[z[:, :, None], z[:, None, :]]
+    return np.linalg.det(blocks), np.sqrt((blocks**2).sum(axis=2)).prod(axis=1)
+
+
 def test_minor_table_matches_the_batched_lu_oracle():
     rng = np.random.default_rng(47)
     for n in range(1, 9):
-        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
         for name, a in _minor_families(rng, n).items():
-            # Hadamard: |det A[S]| <= the product of the norms of its rows
-            norms = np.sqrt(bits @ (a**2).T)
-            scale = np.where(bits == 1, norms, 1.0).prod(axis=1)
-            error = np.abs(_minor_table(a) - minor_table_lu(a))
-            assert np.all(error <= 1e-13 * scale), (name, n)
-            assert _minor_table(np.stack((a, 2 * a)))[1].tolist() == _minor_table(2 * a).tolist()
+            lu = minor_table_lu(a)
+            for max_size in range(1, n + 1):
+                # the table lays out the sets of at most max_size elements
+                # in increasing bitmask order
+                masks = _column_masks(n, max_size)
+                assert np.all(np.diff(masks) > 0) and len(masks) == sum(
+                    math.comb(n, m) for m in range(max_size + 1)
+                )
+                capped = _minor_table(a, max_size)
+                stacked = _minor_table(np.stack((a, 2 * a)), max_size)
+                assert len(capped) == len(stacked) == max_size + 1
+                for m, minors in enumerate(capped):
+                    _, scale = _lu_minors(a, m)
+                    expected = lu[(1 << subset_table(n, m)).sum(axis=1)]
+                    assert np.all(np.abs(minors - expected) <= 1e-13 * scale), (name, n, max_size)
+                    assert stacked[m][1].tolist() == _minor_table(2 * a, max_size)[m].tolist()
+    # the full table is the capped one at max_size = n, bit for bit
+    a = rng.standard_normal((7, 7))
+    full = [minors.tolist() for minors in _minor_table(a)]
+    assert [minors.tolist() for minors in _minor_table(a, 7)] == full
+    assert [minors.tolist() for minors in _minor_table(a, 9)] == full
     # a product that overflows, or meets a zero pivot after overflowing, is
     # not a finite double: LU gives the minor
     assert principal_minors(np.diag([1e200, 1e200, 0.0]))[(1, 2, 3)] == 0.0
     tiny = np.diag([1e200, 1e200, 1e-200])
     assert principal_minors(tiny)[(1, 2, 3)] == determinant(tiny) == 1.000000000000022e200
+
+
+def test_capped_minor_table_runs_above_the_full_table_cap():
+    rng = np.random.default_rng(59)
+    for n, max_size in ((17, 2), (20, 3)):
+        a = rng.standard_normal((n, n))
+        columns, sizes = _table_columns(n, max_size)
+        table = _minor_table(np.stack((a, 2 * a)), max_size)
+        assert [minors.shape for minors in table] == [(2, math.comb(n, m)) for m in range(max_size + 1)]
+        for m, minors in enumerate(table):
+            assert minors[1].tolist() == _minor_table(2 * a, max_size)[m].tolist()
+            expected, scale = _lu_minors(a, m)
+            assert np.all(np.abs(minors[0] - expected) <= 1e-13 * scale)
+            assert np.all(sizes[columns[m]] == m)
+    with pytest.raises(DimensionTooLarge):
+        _minor_table(np.eye(17))
+    with pytest.raises(DimensionTooLarge):
+        principal_minors(np.eye(17))
+
+
+def test_minor_table_recomputes_minors_behind_a_zero_pivot(monkeypatch):
+    calls = []
+    batched_det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda x: calls.append(np.shape(x)) or batched_det(x))
+    # both zero pivots make NaN complements: LU gives the 2x2 minors
+    # beneath them, in both the capped and the full table
+    a = np.diag([0.0, 0.0, 1.0])
+    capped = [[1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+    assert [minors.tolist() for minors in _minor_table(a, 2)] == capped
+    assert calls == [(3, 2, 2)]
+    assert [minors.tolist() for minors in _minor_table(a)] == capped + [[0.0]]
 
 
 def test_effectively_equivalent_verdicts_match_the_oracle():

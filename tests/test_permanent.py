@@ -301,6 +301,24 @@ def test_positivity_scan_trivial_passes():
     assert is_b_positive_definite(np.eye(17), 0.5, max_order=2).passed
 
 
+def test_scan_reads_the_diagonal_exactly():
+    # np.linalg.det([[-0.1]]) is -0.10000000000000002; the minor table
+    # returns the diagonal itself, so f_(1) = -b * a_11 to the bit
+    assert is_b_positive_definite([[-0.1]], 0.5, max_order=1).value == -0.05
+
+
+def test_scan_reads_minors_behind_a_zero_pivot():
+    # both zero pivots make NaN complements, and the table's LU recompute
+    # gives the minors beneath them (a scan that read those NaNs would
+    # raise OverflowError)
+    a = np.diag([0.0, 0.0, 1.0])
+    for b in (0.5, 2.0):
+        for order in range(1, 6):
+            scan = is_b_positive_definite(a, b, max_order=order)
+            expected = positivity_scan_bruteforce(a, b, order)
+            assert (scan.passed, scan.witness, scan.value) == expected
+
+
 def test_positivity_scan_finds_frozen_violation():
     tilted = resolvent(PSD_VIOLATOR, 0.01)
     scan = is_b_positive_definite(tilted, 0.25, max_order=5)
@@ -459,8 +477,69 @@ def _count_det_calls(monkeypatch) -> list:
     return shapes
 
 
+def _spy_minor_tables(monkeypatch) -> list:
+    """(stack, minors per matrix) of each minor table the scan builds."""
+    tables = []
+    minor_table = permanent._minor_table
+
+    def spy(stack, max_size):
+        table = minor_table(stack, max_size)
+        tables.append((stack.copy(), sum(minors.shape[-1] for minors in table)))
+        return table
+
+    monkeypatch.setattr(permanent, "_minor_table", spy)
+    return tables
+
+
+def _spy_bincounts(monkeypatch) -> list:
+    """The bin count of each np.bincount call: a scan level d on n x n
+    matrices makes min(n, d) of them, each with (live matrices) x
+    C(n + d - 1, d) bins (see _level_bins)."""
+    bins = []
+    bincount = np.bincount
+
+    def spy(x, weights=None, minlength=0):
+        bins.append(minlength)
+        return bincount(x, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    return bins
+
+
+def _level_bins(n: int, live: list) -> list:
+    """The bins _spy_bincounts records when level d holds live[d - 1]
+    matrices."""
+    return [
+        rows * math.comb(n + d - 1, d)
+        for d, rows in enumerate(live, start=1)
+        for _ in range(min(n, d))
+    ]
+
+
+def test_scan_reads_one_table_capped_at_its_order(monkeypatch):
+    shapes = _count_det_calls(monkeypatch)
+    tables = _spy_minor_tables(monkeypatch)
+    bins = _spy_bincounts(monkeypatch)
+    rng = np.random.default_rng(43)
+    a = rng.uniform(0.1, 1.0, (6, 6)) + np.eye(6)
+    # the minors up to the scan order, from one table that takes no LU
+    # determinant when no pivot is small
+    assert is_b_positive_definite(a, 0.5, max_order=3).passed
+    up_to_3 = sum(math.comb(6, s) for s in range(4))
+    assert [(len(stack), minors) for stack, minors in tables] == [(1, up_to_3)]
+    assert bins == _level_bins(6, [1, 1, 1])
+    assert shapes == []
+    # a matrix that fails at level 1 is scanned no further
+    bins.clear()
+    a[2, 2] = -1.0
+    assert not is_b_positive_definite(a, 0.5, max_order=3).passed
+    assert bins == _level_bins(6, [1])
+
+
 def test_vere_jones_certificate_skips_the_scan(monkeypatch):
     shapes = _count_det_calls(monkeypatch)
+    tables = _spy_minor_tables(monkeypatch)
+    bins = _spy_bincounts(monkeypatch)
     rng = np.random.default_rng(8)
     off = rng.uniform(0.1, 1.0, (4, 4))
     np.fill_diagonal(off, 0.0)
@@ -476,16 +555,27 @@ def test_vere_jones_certificate_skips_the_scan(monkeypatch):
         )
         # the pole test of the whole grid, and no minors
         assert shapes == [(16, 4, 4)]
-    # 7 of the 16 gammas carry no certificate: only they are scanned, with
-    # C(4, d) minors each at level d
+        assert tables == [] and bins == []
+    # 7 of the 16 gammas carry no certificate: only their tilted kernels
+    # are scanned, as one stack with one table of minors up to size 4, and
+    # all 7 stay through the 5 levels
     shapes.clear()
-    report = vere_jones_check(gallery.tripletwise_divisible_covariance(), 0.5)
-    assert sum(not scan.signature_certificate for scan in report.gamma_scans) == 7
-    assert [shape[0] for shape in shapes] == [16] + [7 * math.comb(4, d) for d in range(1, 5)]
+    g = gallery.tripletwise_divisible_covariance()
+    report = vere_jones_check(g, 0.5)
+    assert shapes == [(16, 4, 4)]  # no pivot of the table trips its guard
+    uncertified = [scan.gamma for scan in report.gamma_scans if not scan.signature_certificate]
+    assert len(uncertified) == 7
+    assert [scan.status for scan in report.gamma_scans] == ["pass"] * 16
+    [(stack, minors)] = tables
+    assert np.array_equal(stack, np.stack([resolvent(g, gamma) for gamma in uncertified]))
+    assert minors == 2**4
+    assert bins == _level_bins(4, [7] * 5)
 
 
 def test_vere_jones_failed_gamma_leaves_the_stack(monkeypatch):
     shapes = _count_det_calls(monkeypatch)
+    tables = _spy_minor_tables(monkeypatch)
+    bins = _spy_bincounts(monkeypatch)
     report = vere_jones_check(
         gallery.tripletwise_divisible_covariance(),
         0.001,
@@ -495,9 +585,12 @@ def test_vere_jones_failed_gamma_leaves_the_stack(monkeypatch):
     assert [scan.status for scan in report.gamma_scans] == ["pass", "fail", "pass"]
     assert report.gamma_scans[0].signature_certificate
     assert report.gamma_scans[1].witness == (2, 3, 4)
-    # gammas 3.3 and 100 are scanned up to level 3, where 3.3 fails; the
-    # 4x4 minor is then taken of gamma 100 alone
-    assert shapes == [(3, 4, 4), (2 * 4, 1, 1), (2 * 6, 2, 2), (2 * 4, 3, 3), (1, 4, 4)]
+    # gammas 3.3 and 100 are one stack, whose minors of every size come
+    # from one table; 3.3 fails at level 3 and takes no part in levels 4
+    # to 8, which scan gamma 100 alone
+    assert [(len(stack), minors) for stack, minors in tables] == [(2, 2**4)]
+    assert bins == _level_bins(4, [2, 2, 2, 1, 1, 1, 1, 1])
+    assert shapes == [(3, 4, 4)]
 
 
 def test_vere_jones_scan_threshold_overflow_raises():
