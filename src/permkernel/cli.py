@@ -118,7 +118,7 @@ def _format_text(report: dict, lines: list[str], prefix: str = "") -> None:
 
 def emit(report: dict, output: str) -> str:
     if output == "json":
-        return json.dumps(report, sort_keys=True)
+        return json.dumps(report, sort_keys=True, check_circular=False)
     lines: list[str] = []
     if report.get("command") == "reproduce-paper":
         for group in report["groups"]:

@@ -20,7 +20,7 @@ from .errors import (
 )
 
 MAX_ENUMERATION_DIM = 16
-# Entries one stacked gather may hold (scan plan pairs or triples x matrices)
+# Entries one level of the stacked positivity scan may hold (plan terms x matrices)
 STACK_BUDGET = 2**16
 # _minor_table's guard: a Schur complement whose entries grow past this
 # multiple of max|A| no longer gives minors to working accuracy
@@ -168,18 +168,24 @@ def resolvent(g, sigma: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return tilted[0]
 
 
+def _positions(indices, n: int) -> list[int]:
+    """The 0-based positions of 1-based `indices`; IndexOutOfRange for one
+    that is not an integer (2.0 is) or lies outside 1..n."""
+    given = list(indices)
+    ids = np.asarray(given, dtype=float)
+    if not np.all((ids == np.floor(ids)) & (ids >= 1) & (ids <= n)):  # NaN fails too
+        raise IndexOutOfRange(f"indices must be integers in 1..{n}, got {given}")
+    return (ids.astype(int) - 1).tolist()
+
+
 def principal_submatrix(a, idx) -> np.ndarray:
     """Rows and columns `idx` (1-based, strictly increasing) of `a`."""
     a = as_matrix(a)
-    n = a.shape[0]
-    ids = [int(i) for i in idx]
-    if not ids:
+    z = _positions(idx, a.shape[0])
+    if not z:
         raise IndexOutOfRange("index set must be nonempty")
-    if any(i < 1 or i > n for i in ids):
-        raise IndexOutOfRange(f"indices must lie in 1..{n}, got {ids}")
-    if any(j <= i for i, j in zip(ids, ids[1:])):
-        raise IndexOutOfRange(f"indices must be strictly increasing, got {ids}")
-    z = [i - 1 for i in ids]
+    if any(j <= i for i, j in zip(z, z[1:])):
+        raise IndexOutOfRange(f"indices must be strictly increasing, got {list(idx)}")
     return a[np.ix_(z, z)]
 
 

@@ -26,6 +26,7 @@ from .matcore import (
     STACK_BUDGET,
     Tolerance,
     _minor_table,
+    _positions,
     _positivity_signatures,
     _resolvents,
     as_matrix,
@@ -116,13 +117,9 @@ def per_b(a, b: float) -> float:
 def repeated_matrix(a, selection) -> np.ndarray:
     """m x m matrix A[k_i, k_j] for a 1-based index selection with repeats."""
     a = as_matrix(a)
-    n = a.shape[0]
-    sel = [int(k) for k in selection]
-    if not sel:
+    z = _positions(selection, a.shape[0])
+    if not z:
         raise IndexOutOfRange("selection must be nonempty")
-    if any(k < 1 or k > n for k in sel):
-        raise IndexOutOfRange(f"selection indices must lie in 1..{n}, got {sel}")
-    z = [k - 1 for k in sel]
     return a[np.ix_(z, z)]
 
 

@@ -9,12 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, MatrixError, PoleAtSigma, SingularBlock, ZeroPivotEntry
-from .matcore import DEFAULT_TOL, STACK_BUDGET, Tolerance, _inverse_or_none, _solve, as_matrix
+from .errors import MatrixError, PoleAtSigma, SingularBlock, ZeroPivotEntry
+from .matcore import DEFAULT_TOL, Tolerance, _inverse_or_none, _positions, _solve, as_matrix
 from .classify import _is_inverse_m, _symmetrizable, is_inverse_m_matrix, three_cycles, triple_table
 
 _ZERO_NOTE = "pivot row/column {0} has a zero entry"
 _POLE_NOTE = "1 + sigma*G({0},{0}) vanishes at sigma = {1}"
+# Triples x matrices in one reduce_scan stack. three_cycles gathers 9 doubles
+# a triple, 72 KiB, below glibc's 128 KiB mmap threshold: larger temporaries
+# are mapped afresh and page-faulted in on every call
+_TRIPLE_CHUNK = 2**10
 
 
 def _zero_pivots(g: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -84,12 +88,10 @@ def conditioning_kernel(g, sigma: float, k: int, tol: Tolerance = DEFAULT_TOL) -
     n = g.shape[0]
     if n < 2:
         raise ValueError("conditioning needs dimension at least 2")
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"pivot {k} outside 1..{n}")
-    pivots = np.array([k - 1])
+    pivots = np.array(_positions([k], n))
     poles, _, coefs = _poles(g, pivots, [sigma], tol)
     if poles[0, 0]:
-        raise PoleAtSigma(_POLE_NOTE.format(k, sigma))
+        raise PoleAtSigma(_POLE_NOTE.format(pivots[0] + 1, sigma))
     _, sub, outer = _pivot_blocks(g, pivots)
     return _conditioning_kernels(sub, outer, coefs)[0]
 
@@ -101,12 +103,10 @@ def ratio_matrix(g, p: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     products (see `_pivot_products`). Entry (p, p) equals 1 / G(p,p).
     """
     g = as_matrix(g)
-    n = g.shape[0]
-    if not 1 <= p <= n:
-        raise IndexOutOfRange(f"pivot {p} outside 1..{n}")
-    if _zero_pivots(g, tol)[p - 1]:
-        raise ZeroPivotEntry(_ZERO_NOTE.format(p))
-    return g / _pivot_products(g[None, :, p - 1], g[None, p - 1], np.array([p - 1]))[0]
+    (q,) = _positions([p], g.shape[0])
+    if _zero_pivots(g, tol)[q]:
+        raise ZeroPivotEntry(_ZERO_NOTE.format(q + 1))
+    return g / _pivot_products(g[None, :, q], g[None, q], np.array([q]))[0]
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,10 @@ def _breakpoints(gm: np.ndarray, hi: np.ndarray, tol: Tolerance):
     """Breakpoints of every triple (see `three_cycles`) of each matrix of a
     stack (k, n, n) in one pass; hi (k,) holds each one's interval end.
 
-    Returns (degenerate, values): per matrix, a flag and the sorted roots in
-    (0, hi) for each triple. The thresholds are tol.threshold of the
-    triple's 3x3 block at degree 1 for c^2, 2 for c and 3 for the constant term.
+    Returns (degenerate, matrix, triple, values): the (k, m) flags, then the
+    matrix, triple and value of each root kept in (0, hi), by matrix, triple
+    and value. The thresholds are tol.threshold of the triple's 3x3 block at
+    degree 1 for c^2, 2 for c and 3 for the constant term.
     """
     entries = three_cycles(gm)
     x, y, z, u, v, w = entries[:6]
@@ -166,10 +167,8 @@ def _breakpoints(gm: np.ndarray, hi: np.ndarray, tol: Tolerance):
     inside = (0.0 < roots) & (roots < hi[:, None])
     distinct = np.abs(roots[1] - roots[0]) > tol.threshold(hi[:, None], axis=())  # per matrix
     keep = np.stack((inside[0], inside[1] & (~inside[0] | distinct)), axis=-1)
-    # a kept root lies in (0, hi), so NaN marks exactly the dropped ones
-    kept = np.where(keep, np.moveaxis(roots, 0, -1), np.nan).tolist()
-    values = [[[root for root in pair if root == root] for pair in matrix] for matrix in kept]
-    return degenerate.tolist(), values
+    matrix, triple, _ = np.nonzero(keep)
+    return degenerate, matrix, triple, np.moveaxis(roots, 0, -1)[keep]
 
 
 def symmetrizability_breakpoints(
@@ -187,13 +186,11 @@ def symmetrizability_breakpoints(
     """
     gm = as_matrix(gamma_mat)
     hi = _interval_end(pivot_diag)
-    ids = [int(i) - 1 for i in triple]
+    ids = _positions(triple, gm.shape[0])
     if len(ids) != 3 or len(set(ids)) != 3:
         raise ValueError("triple must consist of three distinct indices")
-    if any(i < 0 or i >= gm.shape[0] for i in ids):
-        raise ValueError(f"triple {tuple(triple)} outside 1..{gm.shape[0]}")
-    ((degenerate,),), ((values,),) = _breakpoints(gm[np.ix_(ids, ids)][None], np.array([hi]), tol)
-    return BreakpointSet(values=tuple(values), degenerate=degenerate)
+    degenerate, _, _, values = _breakpoints(gm[np.ix_(ids, ids)][None], np.array([hi]), tol)
+    return BreakpointSet(values=tuple(values.tolist()), degenerate=bool(degenerate[0, 0]))
 
 
 def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
@@ -205,8 +202,9 @@ def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     pivot whose row or column has a zero entry carries a "note" and empty
     lists instead. Errors: ValueError for a nonpositive diagonal at a usable
     pivot, then those of `_poles` and `_pivot_products`. Pivots and non-pole
-    (pivot, sigma) pairs run in stacks of at most STACK_BUDGET // C(n-1, 3)
-    matrices, on pivot blocks built once; each kernel is bit for bit conditioning_kernel's.
+    (pivot, sigma) pairs run in stacks of _TRIPLE_CHUNK // C(n-1, 3) matrices
+    (at least one), on pivot blocks built once; each kernel is bit for bit
+    conditioning_kernel's. Each pair's subsets come from one mask of all pairs.
     """
     g = as_matrix(g)
     n = g.shape[0]
@@ -218,18 +216,24 @@ def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     poles, pairs, coefs = _poles(g, usable, sigma_grid, tol)
     rest, sub, outer = _pivot_blocks(g, usable)
     triples = triple_table(n - 1)[0]
-    width = max(1, STACK_BUDGET // len(triples))
-    found, subsets = [], []  # breakpoint entries per usable pivot, subsets per pair
+    width = max(1, _TRIPLE_CHUNK // len(triples))
+    found = []  # breakpoint entries per usable pivot
     for part in (slice(start, start + width) for start in range(0, len(usable), width)):
-        flags, roots = _breakpoints(sub[part] / outer[part], hi[part], tol)
-        found += [
-            [{"triple": t, "values": v, "degenerate": f} for t, v, f in zip(*entry)]
-            for entry in zip((rest[part][:, triples] + 1).tolist(), roots, flags)
+        flags, matrix, triple, values = _breakpoints(sub[part] / outer[part], hi[part], tol)
+        entries = [
+            [{"triple": t, "values": [], "degenerate": f} for t, f in zip(*entry)]
+            for entry in zip((rest[part][:, triples] + 1).tolist(), flags.tolist())
         ]
+        for i, t, value in zip(matrix.tolist(), triple.tolist(), values.tolist()):
+            entries[i][t]["values"].append(value)
+        found += entries
+    mask = np.empty((len(coefs), len(triples)), dtype=bool)  # per non-pole pair
     for part in (slice(start, start + width) for start in range(0, len(coefs), width)):
         kernels = _conditioning_kernels(sub[pairs[part]], outer[pairs[part]], coefs[part])
-        subsets += [(triples[mask] + 1).tolist() for mask in _symmetrizable(kernels, tol)]
-    found, subsets, pivots = iter(zip(found, poles.tolist())), iter(subsets), []
+        mask[part] = _symmetrizable(kernels, tol)
+    listed, ends = (triples[np.nonzero(mask)[1]] + 1).tolist(), np.cumsum(mask.sum(axis=1)).tolist()
+    subsets = (listed[start:end] for start, end in zip([0, *ends], ends))
+    found, pivots = iter(zip(found, poles.tolist())), []
     for pivot, skip in enumerate(unusable.tolist(), 1):
         if skip:
             note = _ZERO_NOTE.format(pivot)

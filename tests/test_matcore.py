@@ -208,6 +208,28 @@ def test_principal_submatrix():
         principal_submatrix(a, [3, 5])
 
 
+INDEXED = {
+    "symmetrizability_breakpoints": lambda g, i: permkernel.symmetrizability_breakpoints(
+        g, (i, 2, 3), 0.5
+    ).values,
+    "principal_submatrix": lambda g, i: principal_submatrix(g, (i, 3)),
+    "repeated_matrix": lambda g, i: permkernel.repeated_matrix(g, (i, i)),
+    "conditioning_kernel": lambda g, i: permkernel.conditioning_kernel(g, 1.0, i),
+    "ratio_matrix": lambda g, i: permkernel.ratio_matrix(g, i),
+}
+
+
+@pytest.mark.parametrize("name", INDEXED)
+def test_non_integral_indices_are_out_of_range(name):
+    # 1.5 and 1.9 once answered for index 1, and 2.7 escaped as numpy's IndexError
+    call = INDEXED[name]
+    g = blockwise_inverse_m()
+    np.testing.assert_array_equal(call(g, 1.0), call(g, 1))
+    for index in (1.5, 1.9, 2.7, math.nan, math.inf, 0, 5):
+        with pytest.raises(IndexOutOfRange, match=r"integers in 1\.\.4"):
+            call(g, index)
+
+
 def test_diagonal_conjugate_hand_cases():
     a = np.array([[0.0, 2.0], [8.0, 0.0]])
     assert np.allclose(diagonal_conjugate(a, [2.0, 1.0]), [[0.0, 4.0], [4.0, 0.0]])

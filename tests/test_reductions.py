@@ -132,6 +132,9 @@ def test_breakpoints_validation():
         symmetrizability_breakpoints(np.ones((3, 3)), (1, 2), 1.0)
     with pytest.raises(ValueError):
         symmetrizability_breakpoints(np.ones((3, 3)), (1, 2, 2), 1.0)
+    for triple in ((0, 1, 2), (1, 2, 4)):  # an IndexOutOfRange, as for every 1-based index
+        with pytest.raises(IndexOutOfRange):
+            symmetrizability_breakpoints(np.ones((3, 3)), triple, 1.0)
     with pytest.raises(ValueError):
         symmetrizability_breakpoints(np.ones((3, 3)), (1, 2, 3), 0.0)
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ their rules: entries exactly at the zero threshold, negative diagonals,
 sigma whose product with G overflows.
 """
 
+import collections
 import json
 import sys
 import tracemalloc
@@ -30,7 +31,7 @@ from permkernel import (
     reduce_scan,
     symmetrizability_breakpoints,
 )
-from permkernel import classify, matcore, reductions
+from permkernel import classify, cli, matcore, reductions
 
 TOL = Tolerance()
 
@@ -96,6 +97,16 @@ def rescaled(rng, n):
 FAMILIES = (signed, positive_diagonal, at_threshold, near_tie, double_root, rescaled)
 
 
+def leaf_types(doc) -> set:
+    """The exact types of the keys and leaves of nested dicts and lists
+    (numpy scalars are not float, int or bool here)."""
+    if isinstance(doc, dict):
+        return {type(key) for key in doc} | leaf_types(list(doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(leaf_types, doc))
+    return {type(doc)}
+
+
 def outcome(fn):
     try:
         return json.dumps(fn(), sort_keys=True)
@@ -148,10 +159,33 @@ def test_breakpoints_match_the_scalar_solve():
         got = symmetrizability_breakpoints(gamma, (1, 2, 3), pivot_diag, TOL)
         values, degenerate = breakpoints_scalar(gamma, (0, 1, 2), pivot_diag, TOL)
         assert (got.values, got.degenerate) == (values, degenerate)
+        assert leaf_types([*got.values, got.degenerate]) <= {float, bool}
         hits["degenerate"] += degenerate
         hits["two"] += len(values) == 2
         hits["double"] += bool(trial % 2) and len(values) == 1
     assert all(count > 0 for count in hits.values()), hits
+
+
+def test_reduce_scan_sparse_values_match_the_loop():
+    # two roots, a double root, no root and degenerate triples at n = 9 and
+    # 10, and only builtin leaves, which json.dumps writes without a circular check
+    rng = np.random.default_rng(1407)
+    kinds = collections.Counter()
+    for n in (9, 10):
+        for same in (False, True):
+            g = double_root(rng, n)
+            if same:
+                g[1, 0] = g[0, 1]  # a = c: triple (1, 2, 3) of pivot n is degenerate
+            grid = [float(sigma) for sigma in sigma_grid(g)]  # the report echoes each sigma
+            pivots = reduce_scan(g, grid, TOL)
+            assert pivots == reduce_scan_loop(g, grid, TOL)
+            assert leaf_types(pivots) <= {int, float, bool, str}
+            double = {"triple": [1, 2, 3], "values": [] if same else [g[1, 2]], "degenerate": same}
+            assert pivots[-1]["breakpoints"][0] == double
+            for entry in pivots:
+                for bp in entry["breakpoints"]:
+                    kinds["degenerate" if bp["degenerate"] else len(bp["values"])] += 1
+    assert set(kinds) == {0, 1, 2, "degenerate"}, kinds
 
 
 def forbid_everywhere(patch, module, name, replacement):
@@ -234,21 +268,56 @@ def test_reduce_scan_stacks_stay_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
-    # pairs from the first, a middle and the last stack of 2^16 // 455 kernels
-    for k, j in [(1, 0), (2, 43), (10, 99), (16, 50), (16, 99)]:
+    assert peak < 48 * 2**20  # 33.3 MiB, nearly all of it the report
+    # pairs on both sides of the first, a middle and the last edge between
+    # stacks of _TRIPLE_CHUNK // 455 kernels (2); pair q is pivot q // 100 + 1
+    width = reductions._TRIPLE_CHUNK // 455
+    middle = 800 // width * width
+    for q in (0, width - 1, width, middle - 1, middle, 1600 - width - 1, 1600 - width, 1599):
+        k, j = q // 100 + 1, q % 100
         expected = count_symmetrizable_3subsets(conditioning_kernel(g, grid[j], k, TOL), TOL)
         assert pivots[k - 1]["scan"][j]["symmetrizable_3subsets"] == [list(t) for t in expected]
 
 
+def test_reduce_scan_stack_edge_inside_a_sigma_row(monkeypatch):
+    # n = 10 on the CLI's default grid: stacks of _TRIPLE_CHUNK // C(9, 3) = 12
+    # pairs, so the first edge falls between sigma 2 and 3 of pivot 3
+    stacks = []
+
+    def spy(kernels, tol):
+        stacks.append(len(kernels))
+        return classify._symmetrizable(kernels, tol)
+
+    monkeypatch.setattr(reductions, "_symmetrizable", spy)
+    grid = list(cli.build_parser().parse_args(["reduce-scan", "--input", "g.json"]).sigma_grid)
+    width = reductions._TRIPLE_CHUNK // 84
+    assert width % len(grid)
+    p, j = divmod(width - 1, len(grid))  # the last pair before the edge, 0-based
+    rng = np.random.default_rng(1406)
+    g = rng.uniform(0.1, 1.0, (10, 10)) + np.diag(rng.uniform(3.0, 10.0, 10))
+    # its kernel has a zero entry (1, 2), so the triples through 1 and 2 are
+    # symmetrizable there and not at the next sigma
+    g[0, 1] = grid[j] / (1.0 + grid[j] * g[p, p]) * (g[0, p] * g[p, 1])
+    pivots = reduce_scan(g, grid, TOL)
+    assert pivots == reduce_scan_loop(g, grid, TOL)
+    assert stacks == [width] * (50 // width) + [50 % width]
+    scan = pivots[p]["scan"]
+    assert [1, 2, 3] in scan[j]["symmetrizable_3subsets"]
+    assert [1, 2, 3] not in scan[j + 1]["symmetrizable_3subsets"]
+
+
 def test_reduce_scan_breakpoints_across_pivot_stacks():
-    # at n = 27 one stack takes 2^16 // C(26, 3) = 25 pivots, so 26 and 27 form a second
+    # a stack takes _TRIPLE_CHUNK // C(n-1, 3) pivots, at least one: 3 at
+    # n = 14, so 13 and 14 form the last stack, and 1 at n = 27
     rng = np.random.default_rng(1405)
-    g = rng.uniform(-2.0, 2.0, (27, 27))
-    np.fill_diagonal(g, rng.uniform(0.2, 3.0, 27))
-    pivots = reduce_scan(g, [0.5], TOL)
-    for k in (1, 25, 26, 27):
-        gamma = ratio_matrix(g, k, TOL)
-        for entry in pivots[k - 1]["breakpoints"][::97]:
-            found = symmetrizability_breakpoints(gamma, entry["triple"], g[k - 1, k - 1], TOL)
-            assert (list(found.values), found.degenerate) == (entry["values"], entry["degenerate"])
+    for n, width, picks, step in [(14, 3, (1, 3, 4, 13, 14), 7), (27, 1, (1, 2, 26, 27), 97)]:
+        assert max(1, reductions._TRIPLE_CHUNK // len(classify.triple_table(n - 1)[0])) == width
+        g = rng.uniform(-2.0, 2.0, (n, n))
+        np.fill_diagonal(g, rng.uniform(0.2, 3.0, n))
+        pivots = reduce_scan(g, [0.5], TOL)
+        for k in picks:
+            gamma = ratio_matrix(g, k, TOL)
+            for entry in pivots[k - 1]["breakpoints"][::step]:
+                found = symmetrizability_breakpoints(gamma, entry["triple"], g[k - 1, k - 1], TOL)
+                assert list(found.values) == entry["values"]
+                assert found.degenerate == entry["degenerate"]
