@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,35 +213,30 @@ def subset_table(n: int, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _table_columns(n: int, max_size: int) -> tuple[tuple, np.ndarray]:
-    """(columns, sizes) of a _minor_table capped at max_size: columns[m]
-    holds the column of each size-m subset of range(n), in subset_table
-    order, and sizes[c] the size of column c's subset. Read-only; the full
-    table (max_size = n) is refused above n = 16. The table is in increasing
-    bitmask order, colex order within one size, so T = {t_1 < ... < t_m}
-    follows, for each i, the sum over j <= max_size - m + i of C(t_i, j)
-    sets that agree with T above t_i and lack t_i (2^t_i at max_size = n)."""
+def _table_order(n: int, max_size: int) -> tuple[np.ndarray, tuple]:
+    """(sizes, sets) of a _minor_table of n x n matrices capped at max_size
+    <= n, whose columns are the sets of at most max_size indices in
+    increasing bitmask order: sizes[c] is the size of column c's set and
+    sets[m] holds the size-m sets in table order (colex). Read-only; the
+    full table (max_size = n) is refused above n = 16."""
     if max_size == n > MAX_ENUMERATION_DIM:
         raise DimensionTooLarge(
             f"principal-minor enumeration is capped at n = {MAX_ENUMERATION_DIM}"
         )
-    at_most = np.cumsum([[math.comb(x, j) for j in range(max_size + 1)] for x in range(n)], axis=1)
-    columns = tuple(
-        at_most[subset_table(n, m), np.arange(max_size - m + 1, max_size + 1)].sum(axis=1)
-        for m in range(max_size + 1)
-    )
-    sizes = np.empty(sum(map(len, columns)), dtype=np.intp)
-    for m, of_size in enumerate(columns):
-        sizes[of_size] = m
-        of_size.flags.writeable = False
-    sizes.flags.writeable = False
-    return columns, sizes
+    sizes = np.zeros(1, dtype=np.intp)
+    for _ in range(n):  # index k follows the sets of range(k) with each S + k
+        sizes = np.concatenate((sizes, sizes[sizes < max_size] + 1))
+    sets = [subset_table(n, m) for m in range(max_size + 1)]
+    sets[1:] = [z[np.lexsort(z.T)] for z in sets[1:]]  # largest index first: colex
+    for array in (sizes, *sets):
+        array.flags.writeable = False
+    return sizes, tuple(sets)
 
 
-def _minor_table(stack: np.ndarray, max_size: int | None = None) -> list[np.ndarray]:
+def _minor_table(stack: np.ndarray, max_size: int | None = None) -> np.ndarray:
     """The principal minors of size <= max_size (default n) of each matrix
-    of a stack (..., n, n), by size: entry m has shape (..., C(n, m)) and
-    holds the size-m minors in subset_table order. Entry 0 is all ones.
+    of a stack (..., n, n), shape (..., sets), in _table_order's bitmask
+    order: column T of the full table is det A[T]; column 0 is all ones.
 
     Level k extends the Schur complement on range(k, n) of each A[S], S in
     range(k) below max_size elements, by index k: det A[S + k] = det A[S] *
@@ -257,7 +251,7 @@ def _minor_table(stack: np.ndarray, max_size: int | None = None) -> list[np.ndar
     """
     n = stack.shape[-1]
     max_size = n if max_size is None else min(max_size, n)
-    columns, sizes = _table_columns(n, max_size)
+    sizes, sets = _table_order(n, max_size)
     a = stack.reshape(-1, n, n)
     limit = GROWTH_LIMIT * np.abs(a).max(axis=(1, 2))[:, None]
     table = np.ones((len(a), 1))
@@ -281,27 +275,23 @@ def _minor_table(stack: np.ndarray, max_size: int | None = None) -> list[np.ndar
                 np.copyto(grown, np.nan, where=tripped[:, None, None])
             comp = np.concatenate((rest, grown), axis=3)
             base = np.concatenate((base, extended), axis=1) if max_size < n else table
-    minors = [table[:, of_size] for of_size in columns]
-    if not np.isfinite(table).all():
-        for m, of_size in enumerate(minors):
-            rows, cols = np.nonzero(~np.isfinite(of_size))
-            if rows.size:
-                z = subset_table(n, m)[cols]
-                of_size[rows, cols] = det(a[rows[:, None, None], z[:, :, None], z[:, None, :]])
-    return [of_size.reshape(stack.shape[:-2] + of_size.shape[1:]) for of_size in minors]
+    rows, cols = np.nonzero(~np.isfinite(table))
+    for m in sorted(set(sizes[cols].tolist())):  # one LU batch per size
+        at = sizes[cols] == m
+        z = sets[m][np.searchsorted(np.flatnonzero(sizes == m), cols[at])]
+        table[rows[at], cols[at]] = det(a[rows[at, None, None], z[:, :, None], z[:, None, :]])
+    return table.reshape(stack.shape[:-2] + table.shape[1:])
 
 
 def principal_minors(a) -> dict:
     """All 2^n - 1 principal minors keyed by 1-based index subset, by size
-    and then in itertools.combinations order. Refused above n = 16."""
+    then in combinations order, read from _minor_table by bitmask (n <= 16)."""
     a = as_matrix(a)
     n = a.shape[0]
-    minors = _minor_table(a)
-    return {
-        tuple(idx): minor
-        for m in range(1, n + 1)
-        for idx, minor in zip((subset_table(n, m) + 1).tolist(), minors[m].tolist())
-    }
+    table = _minor_table(a)
+    subsets = [subset_table(n, m) for m in range(1, n + 1)]
+    keys = [tuple(idx) for z in subsets for idx in (z + 1).tolist()]
+    return dict(zip(keys, table[np.concatenate([(1 << z).sum(axis=1) for z in subsets])].tolist()))
 
 
 def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -312,7 +302,8 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     B can serve as kernels of the same vector. Exponential in n and refused
     above n = 16. The 1x1 and 2x2 minors, a_ii and a_ii a_jj - a_ij a_ji,
     are read from the pair and compared first, so a pair that differs there
-    stops early; the rest come from one _minor_table of the pair. A pair of
+    stops early; the rest come from one _minor_table of the pair, compared
+    in one pass, each column against the floor of its size. A pair of
     size-k minors decides when both minors and its floor
     tol.threshold((A, B), k) are finite doubles, and is equal within that
     floor or rel_tol. A deciding pair that differs gives False; else
@@ -333,15 +324,14 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
             same = close(*minors, tol.rel_tol, floors[m]).all()
             if not same and floors[m] < np.inf and np.isfinite(minors).all():
                 return False  # otherwise the table decides
-        undecided = []  # orders with a pair that cannot decide
-        for m, minors in enumerate(_minor_table(pair)):
-            decides = np.isfinite(minors).all(axis=0) & np.isfinite(floors[m])
-            if np.any(decides & ~close(*minors, tol.rel_tol, floors[m])):
-                return False
-            if not decides.all():
-                undecided.append(m)
-    if undecided:
-        raise OverflowError(f"the minors or floor of order {undecided[0]} are not finite doubles")
+        table, sizes = _minor_table(pair), _table_order(n, n)[0]
+        floor = floors[sizes]
+        decides = np.isfinite(table).all(axis=0) & np.isfinite(floor)
+        if np.any(decides & ~close(*table, tol.rel_tol, floor)):
+            return False
+    if not decides.all():
+        order = sizes[~decides].min()
+        raise OverflowError(f"the minors or floor of order {order} are not finite doubles")
     return True
 
 

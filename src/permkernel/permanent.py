@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,8 @@ from .matcore import (
     _positions,
     _positivity_signatures,
     _resolvents,
+    _table_order,
     as_matrix,
-    subset_table,
 )
 
 MAX_PERMANENT_DIM = 12
@@ -153,7 +154,7 @@ def _scan_level(n: int, d: int):
     the read-only (C(n + d - s - 1, d - s), C(n, s)) table of targets: row
     j, column S holds the position of k = j + 1_S among the size-d
     multisets, for the j-th size-(d - s) multiset and the S-th size-s
-    subset of range(n) in itertools.combinations order. These pairs are
+    subset of range(n) in _minor_table (colex) order. These pairs are
     exactly the pairs of a multiset k and a subset S of its support.
     """
     own = _multisets(n, d)
@@ -171,8 +172,8 @@ def _scan_level(n: int, d: int):
     counts = (own[:, :, None] == np.arange(n)).sum(axis=1)
     factorials = np.array([math.factorial(c) for c in range(d + 1)], dtype=float)
     plan = []
-    for s in range(1, min(n, d) + 1):
-        subsets, sources = subset_table(n, s), _multisets(n, d - s)
+    for s, subsets in enumerate(_table_order(n, min(n, d))[1][1:], start=1):
+        sources = _multisets(n, d - s)
         pairs = np.concatenate(
             [np.repeat(sources, len(subsets), axis=0), np.tile(subsets, (len(sources), 1))], axis=1
         )
@@ -187,15 +188,15 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
     of matrices; one PositivityScan per matrix, in stack order.
 
     Every minor it reads comes from one _minor_table of the stack, capped
-    at size max_order. Each level takes one bincount per plan entry, with
-    matrix j's bins at j * (multisets of the level) + target, summing its
-    terms in the same order as for one matrix alone, so no value depends on
-    the stack. A matrix whose level has a value below its threshold leaves
-    the stack with the first such multiset as its witness. At most
-    STACK_BUDGET // (targets in the top level's plan) matrices are stacked,
-    so a level's terms hold about STACK_BUDGET entries or one matrix's
-    plan: a small plan takes a whole gamma grid, an order-8 scan at n = 8
-    one matrix at a time.
+    at size max_order, split by size in table order. Each level takes one
+    bincount per plan entry, with matrix j's bins at j * (multisets of the
+    level) + target; a target's terms of one size have distinct sources,
+    so they add in source order and no value depends on the stack. A
+    matrix whose level has a value below its threshold leaves the stack
+    with the first such multiset as its witness. At most STACK_BUDGET //
+    (targets in the top level's plan) matrices are stacked, so a level's
+    terms hold about STACK_BUDGET entries or one matrix's plan: a small
+    plan takes a whole gamma grid, an order-8 scan at n = 8 one at a time.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -215,8 +216,9 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
         ]
     scans = [PositivityScan(True, max_order)] * len(stack)
     live = np.arange(len(stack))
-    # signed[s][j, i]: D_S of matrix j for the i-th size-s subset S
-    signed = [(-1.0) ** s * minors for s, minors in enumerate(_minor_table(stack, max_order))]
+    # signed[s - 1][j, i]: D_S of matrix j for the i-th size-s subset S in table order
+    table, sizes = _minor_table(stack, max_order), _table_order(n, min(n, max_order))[0]
+    signed = [(-1.0) ** s * table[:, sizes == s] for s in range(1, min(n, max_order) + 1)]
     levels = [np.ones((len(stack), 1))]  # levels[d][j, i]: f_k of matrix j, i-th size-d multiset k
     for d in range(1, max_order + 1):
         if not live.size:
@@ -226,8 +228,8 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
             factorials, plan = _scan_level(n, d)
             total = np.zeros((live.size, len(factorials)))
             bins = np.arange(live.size)[:, None, None] * len(factorials)
-            for s, target in enumerate(plan, start=1):
-                terms = levels[d - s][:, :, None] * signed[s][:, None, :]
+            for s, (target, minors) in enumerate(zip(plan, signed), start=1):
+                terms = levels[d - s][:, :, None] * minors[:, None, :]
                 sums = np.bincount((bins + target).ravel(), terms.ravel(), total.size)
                 total += (d - s + b * s) * sums.reshape(total.shape)
             f = -total / d
@@ -354,9 +356,15 @@ def vere_jones_check(
     gammas, and one signature test covers that stack. The uncertified
     gammas are then scanned together, level by level, and a gamma leaves
     the stack at its first failing level. Every value is the one that
-    is_b_positive_definite gives for that gamma's tilted kernel alone.
+    is_b_positive_definite gives for that gamma's tilted kernel alone. b is
+    read as a float and max_order as an int (ValueError if not integral).
     """
     g = as_matrix(g)
+    b = float(b)
+    try:
+        max_order = operator.index(max_order)
+    except TypeError:
+        raise ValueError(f"max_order must be an integer, got {max_order!r}") from None
     if not 0.0 < b < math.inf:
         raise ValueError("exponent b must be finite and strictly positive")
     grid = default_gamma_grid() if gamma_grid is None else [float(x) for x in gamma_grid]

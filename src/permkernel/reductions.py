@@ -207,6 +207,7 @@ def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     conditioning_kernel's. Each pair's subsets come from one mask of all pairs.
     """
     g = as_matrix(g)
+    sigma_grid = [float(sigma) for sigma in sigma_grid]  # echoed in the report
     n = g.shape[0]
     if n < 4:
         raise MatrixError("reduce-scan needs dimension at least 4")

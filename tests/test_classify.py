@@ -138,6 +138,8 @@ def test_is_diag_equiv_inverse_m():
     k = one_symmetrizable_triple()
     assert np.array_equal(is_diag_equiv_inverse_m(k), np.ones(4))
     assert is_diag_equiv_inverse_m(blockwise_inverse_m()) is None
+    # opposite signs at (1, 2) and (2, 1): no positivity signature at all
+    assert is_diag_equiv_inverse_m([[1.0, 0.5], [-0.5, 1.0]]) is None
     signs = np.array([1.0, -1.0, 1.0, -1.0])
     recovered = is_diag_equiv_inverse_m(signature_conjugate(k, signs))
     assert recovered is not None

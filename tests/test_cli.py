@@ -426,6 +426,9 @@ def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
     path = write_fixture(tmp_path, laplace_demo_covariance())
     # argparse would exit 2, which is reserved for numerical failure
     assert main(["classify", "--input", path, "--max-order", "9"]) == 1
+    # a grid with no value is a usage error
+    assert main(["reduce-scan", "--input", path, "--sigma-grid", ","]) == 1
+    assert "grid must contain at least one value" in capsys.readouterr().err
     assert main(["mc-verify", "--input", path, "--b", "1.0"]) == 1
     assert main(["reproduce-paper", "--b", "1.0"]) == 1
     assert main(["classify"]) == 1

@@ -1,6 +1,7 @@
 """Tests for the dense matrix core."""
 
 import ast
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -32,7 +33,7 @@ from permkernel import (
 import permkernel
 from permkernel import matcore
 from permkernel.gallery import blockwise_inverse_m
-from permkernel.matcore import _minor_table, _table_columns, subset_table
+from permkernel.matcore import _minor_table, _table_order
 
 from oracles import (
     det_cofactor,
@@ -237,6 +238,8 @@ def test_diagonal_conjugate_hand_cases():
     assert np.allclose(diagonal_conjugate(b, np.ones(4)), b)
     with pytest.raises(ValueError):
         diagonal_conjugate(b, [1.0, -1.0, 1.0, 1.0])
+    with pytest.raises(DimensionMismatch, match="scaling has length 3, expected 4"):
+        diagonal_conjugate(b, np.ones(3))
 
 
 def test_diagonal_conjugate_preserves_minors():
@@ -259,6 +262,8 @@ def test_signature_conjugate_hand_cases():
     assert np.allclose(signature_conjugate(a, np.ones(4)), a)
     with pytest.raises(ValueError):
         signature_conjugate(a, [1.0, 0.5, 1.0, 1.0])
+    with pytest.raises(DimensionMismatch, match="signature has length 5, expected 4"):
+        signature_conjugate(a, np.ones(5))
 
 
 @settings(max_examples=50, deadline=None)
@@ -335,7 +340,9 @@ def test_principal_minors_match_oracle():
     a = rng.standard_normal((4, 4))
     mine = principal_minors(a)
     ref = principal_minors_cofactor(a)
-    assert set(mine) == set(ref)
+    # by size, then in itertools.combinations order
+    keys = [tuple(c) for m in range(1, 5) for c in itertools.combinations(range(1, 5), m)]
+    assert list(mine) == keys == list(ref)
     for key in ref:
         assert mine[key] == pytest.approx(ref[key], rel=1e-9, abs=1e-12)
 
@@ -417,49 +424,53 @@ def _minor_families(rng, n: int) -> dict:
     }
 
 
-def _column_masks(n: int, max_size: int) -> np.ndarray:
-    """The bitmask of the index set of each column of a capped table."""
-    columns, _ = _table_columns(n, max_size)
-    masks = np.zeros(sum(map(len, columns)), dtype=np.intp)
-    for m in range(1, max_size + 1):
-        masks[columns[m]] = (1 << subset_table(n, m)).sum(axis=1)
-    return masks
+def _table_sets(n: int, max_size: int) -> list[tuple]:
+    """The 0-based subsets of range(n) of at most max_size elements, in
+    increasing bitmask order: the columns of a _minor_table capped at
+    max_size."""
+    sets = [c for m in range(max_size + 1) for c in itertools.combinations(range(n), m)]
+    return sorted(sets, key=lambda c: sum(1 << i for i in c))
 
 
-def _lu_minors(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The size-m principal minors of a by LU, in subset_table order, and
-    the Hadamard bound of each: |det A[S]| <= the product of the norms of
-    the rows of A[S]."""
-    z = subset_table(a.shape[0], m)
-    blocks = a[z[:, :, None], z[:, None, :]]
-    return np.linalg.det(blocks), np.sqrt((blocks**2).sum(axis=2)).prod(axis=1)
+def _hadamard_bounds(a: np.ndarray, masks) -> np.ndarray:
+    """|det A[T]| <= the product of the norms of the rows of A[T], for each
+    bitmask T."""
+    bits = (np.asarray(masks)[:, None] >> np.arange(a.shape[0])) & 1
+    rows = np.sqrt(((a * bits[:, None, :]) ** 2).sum(axis=2))  # rows of A on T's columns
+    return np.where(bits, rows, 1.0).prod(axis=1)
+
+
+def _check_table_order(n: int, max_size: int, sets: list) -> None:
+    """_table_order gives each column's size and each size's sets in
+    table order."""
+    sizes, by_size = _table_order(n, max_size)
+    assert sizes.tolist() == [len(c) for c in sets]
+    assert [list(map(tuple, z.tolist())) for z in by_size] == [
+        [c for c in sets if len(c) == m] for m in range(max_size + 1)
+    ]
 
 
 def test_minor_table_matches_the_batched_lu_oracle():
     rng = np.random.default_rng(47)
     for n in range(1, 9):
         for name, a in _minor_families(rng, n).items():
-            lu = minor_table_lu(a)
+            # column T of the full table is the minor on the set bits of T
+            lu, bound = minor_table_lu(a), _hadamard_bounds(a, np.arange(1 << n))
+            assert np.all(np.abs(_minor_table(a) - lu) <= 1e-13 * bound), (name, n)
             for max_size in range(1, n + 1):
-                # the table lays out the sets of at most max_size elements
-                # in increasing bitmask order
-                masks = _column_masks(n, max_size)
-                assert np.all(np.diff(masks) > 0) and len(masks) == sum(
-                    math.comb(n, m) for m in range(max_size + 1)
-                )
+                sets = _table_sets(n, max_size)
+                masks = [sum(1 << i for i in c) for c in sets]
+                _check_table_order(n, max_size, sets)
                 capped = _minor_table(a, max_size)
                 stacked = _minor_table(np.stack((a, 2 * a)), max_size)
-                assert len(capped) == len(stacked) == max_size + 1
-                for m, minors in enumerate(capped):
-                    _, scale = _lu_minors(a, m)
-                    expected = lu[(1 << subset_table(n, m)).sum(axis=1)]
-                    assert np.all(np.abs(minors - expected) <= 1e-13 * scale), (name, n, max_size)
-                    assert stacked[m][1].tolist() == _minor_table(2 * a, max_size)[m].tolist()
+                assert capped.shape == (len(sets),) and stacked.shape == (2, len(sets))
+                assert np.all(np.abs(capped - lu[masks]) <= 1e-13 * bound[masks]), (name, n, max_size)
+                assert stacked[1].tolist() == _minor_table(2 * a, max_size).tolist()
     # the full table is the capped one at max_size = n, bit for bit
     a = rng.standard_normal((7, 7))
-    full = [minors.tolist() for minors in _minor_table(a)]
-    assert [minors.tolist() for minors in _minor_table(a, 7)] == full
-    assert [minors.tolist() for minors in _minor_table(a, 9)] == full
+    full = _minor_table(a).tolist()
+    assert _minor_table(a, 7).tolist() == full
+    assert _minor_table(a, 9).tolist() == full
     # a product that overflows, or meets a zero pivot after overflowing, is
     # not a finite double: LU gives the minor
     assert principal_minors(np.diag([1e200, 1e200, 0.0]))[(1, 2, 3)] == 0.0
@@ -471,14 +482,14 @@ def test_capped_minor_table_runs_above_the_full_table_cap():
     rng = np.random.default_rng(59)
     for n, max_size in ((17, 2), (20, 3)):
         a = rng.standard_normal((n, n))
-        columns, sizes = _table_columns(n, max_size)
+        sets = _table_sets(n, max_size)
+        _check_table_order(n, max_size, sets)
         table = _minor_table(np.stack((a, 2 * a)), max_size)
-        assert [minors.shape for minors in table] == [(2, math.comb(n, m)) for m in range(max_size + 1)]
-        for m, minors in enumerate(table):
-            assert minors[1].tolist() == _minor_table(2 * a, max_size)[m].tolist()
-            expected, scale = _lu_minors(a, m)
-            assert np.all(np.abs(minors[0] - expected) <= 1e-13 * scale)
-            assert np.all(sizes[columns[m]] == m)
+        assert table.shape == (2, sum(math.comb(n, m) for m in range(max_size + 1)))
+        assert table[1].tolist() == _minor_table(2 * a, max_size).tolist()
+        expected = [np.linalg.det(a[np.ix_(c, c)]) if c else 1.0 for c in sets]
+        bound = _hadamard_bounds(a, [sum(1 << i for i in c) for c in sets])
+        assert np.all(np.abs(table[0] - expected) <= 1e-13 * bound)
     with pytest.raises(DimensionTooLarge):
         _minor_table(np.eye(17))
     with pytest.raises(DimensionTooLarge):
@@ -490,12 +501,13 @@ def test_minor_table_recomputes_minors_behind_a_zero_pivot(monkeypatch):
     batched_det = np.linalg.det
     monkeypatch.setattr(np.linalg, "det", lambda x: calls.append(np.shape(x)) or batched_det(x))
     # both zero pivots make NaN complements: LU gives the 2x2 minors
-    # beneath them, in both the capped and the full table
+    # beneath them, in both the capped and the full table (columns {}, {1},
+    # {2}, {1, 2}, {3}, {1, 3}, {2, 3} and, uncapped, {1, 2, 3})
     a = np.diag([0.0, 0.0, 1.0])
-    capped = [[1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
-    assert [minors.tolist() for minors in _minor_table(a, 2)] == capped
+    capped = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+    assert _minor_table(a, 2).tolist() == capped
     assert calls == [(3, 2, 2)]
-    assert [minors.tolist() for minors in _minor_table(a)] == capped + [[0.0]]
+    assert _minor_table(a).tolist() == capped + [0.0]
 
 
 def test_effectively_equivalent_verdicts_match_the_oracle():

@@ -238,6 +238,9 @@ def test_verify_conditioning_trivial_and_random():
         verify_conditioning(batch, g, 0.0, (0.5, 0.5))
     with pytest.raises(DimensionMismatch):
         verify_conditioning(batch, g[:2, :2], 1.0, (0.5,))
+    one = np.eye(1)
+    with pytest.raises(ValueError, match="dimension at least 2"):
+        verify_conditioning(sample_squared_gaussian(one, 100, seed=0), one, 1.0, ())
 
 
 def _report_covariance(n: int) -> np.ndarray:

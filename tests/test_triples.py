@@ -30,8 +30,9 @@ from permkernel import (
     ratio_matrix,
     reduce_scan,
     symmetrizability_breakpoints,
+    vere_jones_check,
 )
-from permkernel import classify, cli, matcore, reductions
+from permkernel import classify, cli, gallery, matcore, reductions
 
 TOL = Tolerance()
 
@@ -186,6 +187,29 @@ def test_reduce_scan_sparse_values_match_the_loop():
                 for bp in entry["breakpoints"]:
                     kinds["degenerate" if bp["degenerate"] else len(bp["values"])] += 1
     assert set(kinds) == {0, 1, 2, "degenerate"}, kinds
+
+
+def test_reports_hold_only_builtins_for_numpy_arguments():
+    # numpy-typed b, max_order and sigmas are coerced where they enter, so
+    # every report is plain JSON
+    g = gallery.blockwise_inverse_m()
+    grid = np.array([0.5, 1.0], dtype=np.float32)
+    pivots = reduce_scan(g, grid, TOL)
+    assert pivots == reduce_scan(g, grid.tolist(), TOL)
+    assert leaf_types(pivots) <= {int, float, bool, str}
+    builtins = {int, float, bool, str, type(None)}
+    for report in (
+        vere_jones_check(g, np.float32(0.5), max_order=np.int64(3)),
+        classify_kernel(g, b=np.float32(0.5), max_order=np.int64(2)),
+    ):
+        doc = report.to_dict()
+        assert leaf_types(doc) <= builtins
+        json.dumps(doc)
+    # a non-integral order is refused, also when every gamma is certified
+    # and no scan runs
+    for kernel in (gallery.one_symmetrizable_triple(), g):
+        with pytest.raises(ValueError, match="max_order must be an integer"):
+            vere_jones_check(kernel, 0.5, max_order=2.5)
 
 
 def forbid_everywhere(patch, module, name, replacement):
