@@ -24,7 +24,7 @@ from .classify import (
 )
 from .matcore import DEFAULT_TOL, Tolerance, det, inverse, principal_submatrix
 from .mcverify import laplace_report
-from .reductions import block_double, johnson_smith_inverse_m, schur_complement
+from .reductions import _solve_block, block_double, johnson_smith_inverse_m, schur_complement
 
 
 def blockwise_inverse_m() -> np.ndarray:
@@ -246,7 +246,8 @@ def _block_doubled(seed: int, mc_count: int, tol: Tolerance) -> list[dict]:
                 f"max gap {gap:.2e}",
             )
         )
-        lower_left = np.linalg.solve(base, np.linalg.solve(complement.T, (alpha * base).T).T)
+        right = _solve_block(complement.T, (alpha * base).T, "complement^T", tol).T  # alpha G S^-1
+        lower_left = _solve_block(base, right, "G", tol)
         expected = alpha / (1.0 - alpha**2) * base_inv
         gap = abs(lower_left - expected).max()
         checks.append(

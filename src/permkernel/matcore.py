@@ -145,8 +145,17 @@ def inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def _resolvents(g: np.ndarray, sigmas, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """(poles, tilted) of `_solve` for I + sigma*G against G: the tilted
-    kernels (I + sigma*G)^{-1} G of a sequence of sigmas at once."""
-    return _solve(np.eye(g.shape[0]) + np.asarray(sigmas, dtype=float)[:, None, None] * g, g, tol)
+    kernels (I + sigma*G)^{-1} G of a sequence of sigmas at once; OverflowError
+    names the first sigma where I + sigma*G, else its tilt, is not finite."""
+    with np.errstate(over="ignore"):
+        m = np.eye(g.shape[0]) + np.asarray(sigmas, dtype=float)[:, None, None] * g
+    finite = np.isfinite(m).all(axis=(1, 2))
+    if finite.all():  # an infinite I + sigma*G would read as a pole or bad input
+        poles, tilted = _solve(m, g, tol)
+        finite[~poles] = np.isfinite(tilted).all(axis=(1, 2))
+    if not finite.all():
+        raise OverflowError(f"I + {sigmas[finite.argmin()]}*G or its tilted kernel is not finite")
+    return poles, tilted
 
 
 def resolvent(g, sigma: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -154,13 +163,11 @@ def resolvent(g, sigma: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Raises SingularMatrix when I + sigma*G is numerically singular, which
     signals that -1/sigma is an eigenvalue of G, and OverflowError when
-    sigma*max|G| is not a finite double.
+    sigma*max|G| or the tilted kernel is not finite (see _resolvents).
     """
     g = as_matrix(g)
     if not 0.0 <= sigma < np.inf:
         raise ValueError("sigma must be finite and nonnegative")
-    if not np.isfinite(sigma * float(np.abs(g).max())):
-        raise OverflowError(f"sigma*max|G| is not finite at sigma = {sigma}")
     poles, tilted = _resolvents(g, [sigma], tol)
     if poles[0]:
         raise SingularMatrix(f"I + {sigma}*G is numerically singular")

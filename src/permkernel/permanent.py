@@ -32,6 +32,7 @@ from .matcore import (
     _resolvents,
     _table_order,
     as_matrix,
+    subset_table,
 )
 
 MAX_PERMANENT_DIM = 12
@@ -139,45 +140,37 @@ class PositivityScan:
 
 
 @functools.lru_cache(maxsize=64)
-def _multisets(n: int, d: int) -> np.ndarray:
-    """The size-d multisets of range(n) as rows of nondecreasing indices, in
-    itertools.combinations_with_replacement order."""
-    return np.array(list(itertools.combinations_with_replacement(range(n), d)), dtype=np.intp)
-
-
-@functools.lru_cache(maxsize=64)
 def _scan_level(n: int, d: int):
     """Index plan of level d of the generating-function recurrence.
 
     Returns (factorials, plan). factorials[i] = k! = prod_i k_i! for the
-    i-th size-d multiset k of range(n) (_multisets order). plan[s - 1] is
-    the read-only (C(n + d - s - 1, d - s), C(n, s)) table of targets: row
-    j, column S holds the position of k = j + 1_S among the size-d
+    i-th size-d multiset k of range(n), k = y - arange(d) for row i, y, of
+    subset_table(n + d - 1, d) (stars and bars). plan[s - 1] is the
+    read-only (C(n + d - s - 1, d - s), C(n, s)) table of targets: row j,
+    column S holds the position of k = j + 1_S among the size-d
     multisets, for the j-th size-(d - s) multiset and the S-th size-s
     subset of range(n) in _minor_table (colex) order. These pairs are
     exactly the pairs of a multiset k and a subset S of its support.
     """
-    own = _multisets(n, d)
-    # rank by the combinatorial number system: x_i + i is a strictly
-    # increasing subset of range(n + d - 1) with colex rank
-    # sum_i C(x_i + i, i + 1), below C(n + d - 1, d), the number of
-    # multisets; so every rank, and every term tabled here, fits in int64
-    # whenever the plan fits in memory
+    own = subset_table(n + d - 1, d) - np.arange(d)
+    # rank by the combinatorial number system: y -> n + d - 2 - y turns the
+    # table's (lex) order of its rows y = x + arange(d) into decreasing colex
+    # order, so row y sits at C(n + d - 1, d) - 1 - sum_j C(n + d - 2 - y_j,
+    # d - j); every term tabled here is below C(n + d - 1, d), the number of
+    # multisets, so it fits in int64 whenever the plan fits in memory
     terms = np.array(
-        [[math.comb(x + i, i + 1) for x in range(n)] for i in range(d)], dtype=np.int64
+        [[math.comb(n + d - 2 - x - j, d - j) for x in range(n)] for j in range(d)], dtype=np.int64
     ).ravel()
-    offsets = np.arange(d) * n  # terms[offsets[i] + x] = C(x + i, i + 1)
-    lex = np.empty(len(own), dtype=np.intp)  # lex[colex rank] = position in own
-    lex[terms[own + offsets].sum(axis=1)] = np.arange(len(own))
+    offsets = np.arange(d) * n  # terms[offsets[j] + x] = C(n + d - 2 - x - j, d - j)
     counts = (own[:, :, None] == np.arange(n)).sum(axis=1)
     factorials = np.array([math.factorial(c) for c in range(d + 1)], dtype=float)
     plan = []
     for s, subsets in enumerate(_table_order(n, min(n, d))[1][1:], start=1):
-        sources = _multisets(n, d - s)
+        sources = subset_table(n + d - s - 1, d - s) - np.arange(d - s)
         pairs = np.concatenate(
             [np.repeat(sources, len(subsets), axis=0), np.tile(subsets, (len(sources), 1))], axis=1
         )
-        target = lex[terms[np.sort(pairs) + offsets].sum(axis=1)].reshape(len(sources), -1)
+        target = (len(own) - 1 - terms[np.sort(pairs) + offsets].sum(axis=1)).reshape(len(sources), -1)
         target.setflags(write=False)
         plan.append(target)
     return factorials[counts].prod(axis=1), tuple(plan)
@@ -188,12 +181,14 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
     of matrices; one PositivityScan per matrix, in stack order.
 
     Every minor it reads comes from one _minor_table of the stack, capped
-    at size max_order, split by size in table order. Each level takes one
+    at size max_order, split by size in table order, and every bound from
+    one tol.threshold call over the orders, so the level loop reads only
+    the plans, the signed minors and the bounds. Each level takes one
     bincount per plan entry, with matrix j's bins at j * (multisets of the
     level) + target; a target's terms of one size have distinct sources,
     so they add in source order and no value depends on the stack. A
-    matrix whose level has a value below its threshold leaves the stack
-    with the first such multiset as its witness. At most STACK_BUDGET //
+    matrix whose level has a value below its bound leaves the stack with
+    the first such multiset as its witness. At most STACK_BUDGET //
     (targets in the top level's plan) matrices are stacked, so a level's
     terms hold about STACK_BUDGET entries or one matrix's plan: a small
     plan takes a whole gamma grid, an order-8 scan at n = 8 one at a time.
@@ -219,12 +214,14 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
     # signed[s - 1][j, i]: D_S of matrix j for the i-th size-s subset S in table order
     table, sizes = _minor_table(stack, max_order), _table_order(n, min(n, max_order))[0]
     signed = [(-1.0) ** s * table[:, sizes == s] for s in range(1, min(n, max_order) + 1)]
+    with np.errstate(over="ignore"):  # bounds[d, j]: matrix j's bound at order d
+        bounds = tol.threshold(stack, np.arange(max_order + 1)[:, None], axis=(1, 2))
     levels = [np.ones((len(stack), 1))]  # levels[d][j, i]: f_k of matrix j, i-th size-d multiset k
     for d in range(1, max_order + 1):
         if not live.size:
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            threshold = tol.threshold(stack, d, axis=(1, 2))
+            threshold = bounds[d, live]
             factorials, plan = _scan_level(n, d)
             total = np.zeros((live.size, len(factorials)))
             bins = np.arange(live.size)[:, None, None] * len(factorials)
@@ -241,16 +238,25 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
         levels.append(f)
         failed = bad.any(axis=1)
         if failed.any():
+            multisets = subset_table(n + d - 1, d) + 1 - np.arange(d)  # 1-based, _scan_level order
             for row in np.flatnonzero(failed):
                 i = int(bad[row].argmax())
                 scans[live[row]] = PositivityScan(
-                    False, max_order, tuple((_multisets(n, d)[i] + 1).tolist()), float(values[row, i])
+                    False, max_order, tuple(multisets[i].tolist()), float(values[row, i])
                 )
             keep = ~failed
-            live, stack = live[keep], stack[keep]
+            live = live[keep]
             signed = [x[keep] for x in signed]
             levels = [x[keep] for x in levels]
     return scans
+
+
+def _as_order(max_order) -> int:
+    """max_order as an int; ValueError when it is not integral."""
+    try:
+        return operator.index(max_order)
+    except TypeError:
+        raise ValueError(f"max_order must be an integer, got {max_order!r}") from None
 
 
 def is_b_positive_definite(
@@ -271,12 +277,15 @@ def is_b_positive_definite(
     representative per multiset (per_b is invariant under simultaneous
     relabeling). The first value below -tol.threshold(A, d) is the witness;
     a level with a threshold or value beyond a double raises OverflowError
-    naming its order, and a non-finite b raises ValueError. This is the
-    one-matrix case of the stacked scan vere_jones_check runs.
+    naming its order, and a non-finite b raises ValueError. b is read as a
+    float and max_order as an int (ValueError if not integral), as in
+    vere_jones_check. This is the one-matrix case of the stacked scan
+    vere_jones_check runs.
     """
+    b = float(b)
     if not math.isfinite(b):
         raise ValueError("exponent b must be finite")
-    return _positivity_scans(as_matrix(a)[None], b, max_order, tol)[0]
+    return _positivity_scans(as_matrix(a)[None], b, _as_order(max_order), tol)[0]
 
 
 def default_gamma_grid() -> list[float]:
@@ -349,7 +358,7 @@ def vere_jones_check(
     ignored). Condition (II) at every grid gamma: a positivity signature of
     the tilted kernel certifies a pass at every order; without one, the
     bounded multiset scan runs. Gammas at resolvent poles are skipped with a
-    note; a gamma whose product with max|G| overflows raises OverflowError.
+    note; a gamma whose tilt overflows (see _resolvents) raises OverflowError.
 
     Condition (II) runs on the whole grid at once: one batched determinant
     finds the poles, one batched solve tilts the kernel at the other
@@ -361,10 +370,7 @@ def vere_jones_check(
     """
     g = as_matrix(g)
     b = float(b)
-    try:
-        max_order = operator.index(max_order)
-    except TypeError:
-        raise ValueError(f"max_order must be an integer, got {max_order!r}") from None
+    max_order = _as_order(max_order)
     if not 0.0 < b < math.inf:
         raise ValueError("exponent b must be finite and strictly positive")
     grid = default_gamma_grid() if gamma_grid is None else [float(x) for x in gamma_grid]
@@ -372,18 +378,12 @@ def vere_jones_check(
         raise ValueError("gamma grid must be nonempty")
     if not all(0.0 < x < math.inf for x in grid):
         raise ValueError("gamma values must be finite and strictly positive")
-    scale = float(np.abs(g).max())  # an infinite I + gamma*G would read as bad input
-    overflowed = [x for x in grid if not math.isfinite(x * scale)]
-    if overflowed:
-        raise OverflowError(f"gamma*max|G| is not finite at gamma = {overflowed[0]}")
 
     thr = tol.threshold(g)
     real = sorted(float(ev.real) for ev in np.linalg.eigvals(g) if abs(ev.imag) <= thr)
     condition_i = all(ev >= -thr for ev in real)
 
     poles, tilted = _resolvents(g, grid, tol)
-    if not np.all(np.isfinite(tilted)):
-        raise ValueError("matrix entries must be finite")
     _, certified = _positivity_signatures(tilted, tol)
     # a signature S makes S A S entrywise positive, so every term of every
     # per_b of a repeated submatrix is positive: the scan cannot fail

@@ -499,6 +499,23 @@ def test_overflowed_tilt_is_a_one_line_numerical_failure(tmp_path, capsys, comma
     assert not caught
 
 
+@pytest.mark.parametrize("command", ["vere-jones", "classify"])
+def test_tilt_beyond_a_double_is_a_one_line_numerical_failure(tmp_path, capsys, command):
+    # gamma*max|G| is about 1, but 1 + gamma*G(1,1) is 1e-3, so the solved
+    # tilted kernel holds -1e309: an overflow, not bad input
+    path = write_fixture(tmp_path, [[-0.999e306, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--input", path, "--gamma-grid", "1e-306"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"numerical failure in {command}: OverflowError: " + (
+        "I + 1e-306*G or its tilted kernel is not finite\n"
+    )
+    assert not caught
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize(
     "command, grid_flag, message",

@@ -140,9 +140,19 @@ def test_resolvent_overflow_is_an_overflow_error():
     # I + sigma*G would hold inf and read as numerically singular
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match=r"^sigma\*max\|G\| is not finite at sigma = 1e\+308$"):
+        with pytest.raises(OverflowError, match=r"^I \+ 1e\+308\*G or its tilted kernel is not finite$"):
             resolvent(10 * np.eye(2), 1e308)
         assert np.allclose(resolvent(np.eye(2), 1e150), 1e-150 * np.eye(2), rtol=1e-12, atol=0.0)
+
+
+def test_resolvent_beyond_a_double_after_the_solve_is_an_overflow_error():
+    # sigma*max|G| is finite, but 1 + sigma*G(1,1) = 1e-3 puts -1e309 in the
+    # tilted kernel, which resolvent returned as -inf
+    g = np.array([[-0.999e306, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^I \+ 1e-306\*G or its tilted kernel is not finite$"):
+            resolvent(g, 1e-306)
 
 
 def test_determinants_beyond_a_double_are_inf_without_warnings():
@@ -164,27 +174,41 @@ def test_determinants_beyond_a_double_are_inf_without_warnings():
     }
 
 
-def _linalg_references(attr):
-    """`module.top_level_name` of each reference to numpy.linalg.<attr> in
-    the package source (None for module-level code)."""
+LINALG_NAMES = ("np.linalg", "numpy.linalg")
+
+
+def _linalg_uses():
+    """(`module.top_level_name`, name) of each use of numpy.linalg in the
+    package source (owner None for module-level code): an attribute
+    np.linalg.<name>, a name imported from numpy.linalg, and ("linalg")
+    numpy.linalg itself bound, imported or passed anywhere else."""
     found = []
     for path in sorted(Path(permkernel.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
-            owner = getattr(top, "name", None)
-            for node in ast.walk(top):
-                attribute = (
-                    isinstance(node, ast.Attribute)
-                    and node.attr == attr
-                    and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")
-                )
-                imported = (
-                    isinstance(node, ast.ImportFrom)
-                    and node.module == "numpy.linalg"
-                    and any(alias.name == attr for alias in node.names)
-                )
-                if attribute or imported:
-                    found.append(f"{path.stem}.{owner}")
+            owner = f"{path.stem}.{getattr(top, 'name', None)}"
+            nodes = list(ast.walk(top))
+            named = {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
+            for node in nodes:
+                if isinstance(node, ast.Attribute) and ast.unparse(node.value) in LINALG_NAMES:
+                    found.append((owner, node.attr))
+                elif isinstance(node, ast.Attribute) and ast.unparse(node) in LINALG_NAMES:
+                    if id(node) not in named:  # np.linalg not followed by a name
+                        found.append((owner, "linalg"))
+                elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                    for alias in node.names:
+                        if node.module.startswith("numpy.linalg"):
+                            found.append((owner, alias.name))
+                        elif alias.name == "linalg":
+                            found.append((owner, "linalg"))
+                elif isinstance(node, ast.Import):
+                    found += [(owner, "linalg") for a in node.names if a.name.startswith("numpy.linalg")]
     return found
+
+
+def _linalg_references(attr):
+    """`module.top_level_name` of each reference to numpy.linalg.<attr> in
+    the package source (None for module-level code)."""
+    return [owner for owner, name in _linalg_uses() if name == attr]
 
 
 def test_determinants_and_inverses_take_one_route():
@@ -192,6 +216,18 @@ def test_determinants_and_inverses_take_one_route():
     # matcore._solve's guarded solve
     assert _linalg_references("det") == ["matcore.det"]
     assert _linalg_references("inv") == []
+
+
+def test_numpy_linalg_is_called_in_four_places():
+    # every solve goes through matcore._solve's singularity guard; the
+    # eigenvalues of condition (I) and the Monte Carlo covariance root are
+    # the only other numpy.linalg calls
+    assert sorted(_linalg_uses()) == [
+        ("matcore._solve", "solve"),
+        ("matcore.det", "det"),
+        ("mcverify._covariance_root", "eigh"),
+        ("permanent.vere_jones_check", "eigvals"),
+    ]
 
 
 def test_principal_submatrix():

@@ -25,6 +25,7 @@ from permkernel import (
 )
 from permkernel import gallery, permanent
 from permkernel.gallery import blockwise_inverse_m
+from permkernel.matcore import subset_table
 
 from oracles import (
     cycle_weights_per_call,
@@ -388,12 +389,13 @@ def test_positivity_scan_runs_at_the_order_cap():
 def test_scan_level_targets_past_int64_base_n_codes(n, d):
     # n^d overflows int64 here, so base-n codes of the multisets would wrap
     rank = {k: i for i, k in enumerate(itertools.combinations_with_replacement(range(n), d))}
-    assert list(map(tuple, permanent._multisets(n, d).tolist())) == list(rank)
+    # stars and bars: row i of subset_table(n + d - 1, d) - arange(d) is the i-th multiset
+    assert list(map(tuple, (subset_table(n + d - 1, d) - np.arange(d)).tolist())) == list(rank)
     _, plan = permanent._scan_level(n, d)
     for s, target in enumerate(plan, start=1):
         # the subsets in increasing bitmask order, the minor table's
         subsets = sorted(itertools.combinations(range(n), s), key=lambda c: sum(1 << i for i in c))
-        sources = permanent._multisets(n, d - s).tolist()
+        sources = list(map(list, itertools.combinations_with_replacement(range(n), d - s)))
         # row j, column S: the rank of the multiset j + 1_S
         assert target.tolist() == [[rank[tuple(sorted(j + list(c)))] for c in subsets] for j in sources]
 
@@ -599,6 +601,15 @@ def test_vere_jones_scan_threshold_overflow_raises():
     # inf would pass every value
     with pytest.raises(OverflowError):
         vere_jones_check([[1e160, -1e160], [1e160, 1e160]], 0.5, gamma_grid=[1e-300])
+
+
+def test_vere_jones_tilt_beyond_a_double_is_an_overflow_error():
+    # gamma*max|G| is finite at every gamma, but at 1e-306 the tilted kernel
+    # holds -1e309: an overflow, not bad input; it is finite at 1 and 2e-306
+    g = [[-0.999e306, 0.0], [0.0, 1.0]]
+    for grid in ([1e-306], [1.0, 1e-306, 2e-306]):
+        with pytest.raises(OverflowError, match=r"^I \+ 1e-306\*G or its tilted kernel is not finite$"):
+            vere_jones_check(g, 0.5, gamma_grid=grid)
 
 
 def test_scan_threshold_overflow_names_the_order():

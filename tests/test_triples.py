@@ -27,6 +27,7 @@ from permkernel import (
     classify_kernel,
     conditioning_kernel,
     count_symmetrizable_3subsets,
+    is_b_positive_definite,
     ratio_matrix,
     reduce_scan,
     symmetrizability_breakpoints,
@@ -210,6 +211,14 @@ def test_reports_hold_only_builtins_for_numpy_arguments():
     for kernel in (gallery.one_symmetrizable_triple(), g):
         with pytest.raises(ValueError, match="max_order must be an integer"):
             vere_jones_check(kernel, 0.5, max_order=2.5)
+    # the one-matrix scan reads b and max_order as vere_jones_check does;
+    # b = -1 fails at order 1, so the witness and value are set
+    for b in (np.float32(0.5), np.float32(-1.0)):
+        scan = is_b_positive_definite(g, b, max_order=np.int64(3))
+        assert scan.max_order == 3 and scan.passed == (b > 0)
+        assert leaf_types([scan.passed, scan.max_order, *(scan.witness or ()), scan.value]) <= builtins
+    with pytest.raises(ValueError, match="max_order must be an integer"):
+        is_b_positive_definite(g, 0.5, max_order=2.5)
 
 
 def forbid_everywhere(patch, module, name, replacement):
