@@ -2,7 +2,8 @@
 
 
 class MatrixError(ValueError):
-    """Base class for every error raised by this package."""
+    """Base of the bad-input errors (CLI exit 1), as is plain ValueError;
+    a numerical failure is OverflowError or another ArithmeticError (exit 2)."""
 
 
 class DimensionMismatch(MatrixError):

@@ -209,23 +209,25 @@ def signature_conjugate(a, signs) -> np.ndarray:
     return a * np.outer(s, s)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def subset_table(n: int, m: int) -> np.ndarray:
     """The C(n, m) 0-based subsets of size m of range(n), in combinations
-    order, as a read-only (C, m) array; built once per (n, m)."""
+    (lex) order, as a read-only (C, m) array; built once per (n, m) and
+    kept for the process."""
     combinations = list(itertools.combinations(range(n), m))
     subsets = np.array(combinations, dtype=np.intp).reshape(len(combinations), m)
     subsets.flags.writeable = False
     return subsets
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _table_order(n: int, max_size: int) -> tuple[np.ndarray, tuple]:
     """(sizes, sets) of a _minor_table of n x n matrices capped at max_size
     <= n, whose columns are the sets of at most max_size indices in
     increasing bitmask order: sizes[c] is the size of column c's set and
-    sets[m] holds the size-m sets in table order (colex). Read-only; the
-    full table (max_size = n) is refused above n = 16."""
+    sets[m] holds the size-m sets in table order (colex). Read-only, built
+    once per (n, max_size) and kept for the process; the full table
+    (max_size = n) is refused above n = 16."""
     if max_size == n > MAX_ENUMERATION_DIM:
         raise DimensionTooLarge(
             f"principal-minor enumeration is capped at n = {MAX_ENUMERATION_DIM}"

@@ -39,7 +39,7 @@ MAX_PERMANENT_DIM = 12
 MAX_POSITIVITY_ORDER = 8
 
 
-@functools.lru_cache(maxsize=MAX_PERMANENT_DIM)
+@functools.cache
 def _per_b_plan(m: int):
     """Read-only intp index arrays of per_b at size m, built on first use.
 
@@ -139,9 +139,10 @@ class PositivityScan:
     value: float | None = None
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _scan_level(n: int, d: int):
-    """Index plan of level d of the generating-function recurrence.
+    """Index plan of level d of the generating-function recurrence, built
+    on first use and kept for the process.
 
     Returns (factorials, plan). factorials[i] = k! = prod_i k_i! for the
     i-th size-d multiset k of range(n), k = y - arange(d) for row i, y, of
@@ -149,19 +150,16 @@ def _scan_level(n: int, d: int):
     read-only (C(n + d - s - 1, d - s), C(n, s)) table of targets: row j,
     column S holds the position of k = j + 1_S among the size-d
     multisets, for the j-th size-(d - s) multiset and the S-th size-s
-    subset of range(n) in _minor_table (colex) order. These pairs are
+    subset of range(n) in _minor_table (colex) order, found by binary
+    search in that lex-ordered table of multisets. These pairs are
     exactly the pairs of a multiset k and a subset S of its support.
     """
+
+    def keys(rows):
+        # big-endian bytes of nonnegative rows compare as the rows do in lex order
+        return np.ascontiguousarray(rows, dtype=">i8").view(f"V{8 * d}").ravel()
+
     own = subset_table(n + d - 1, d) - np.arange(d)
-    # rank by the combinatorial number system: y -> n + d - 2 - y turns the
-    # table's (lex) order of its rows y = x + arange(d) into decreasing colex
-    # order, so row y sits at C(n + d - 1, d) - 1 - sum_j C(n + d - 2 - y_j,
-    # d - j); every term tabled here is below C(n + d - 1, d), the number of
-    # multisets, so it fits in int64 whenever the plan fits in memory
-    terms = np.array(
-        [[math.comb(n + d - 2 - x - j, d - j) for x in range(n)] for j in range(d)], dtype=np.int64
-    ).ravel()
-    offsets = np.arange(d) * n  # terms[offsets[j] + x] = C(n + d - 2 - x - j, d - j)
     counts = (own[:, :, None] == np.arange(n)).sum(axis=1)
     factorials = np.array([math.factorial(c) for c in range(d + 1)], dtype=float)
     plan = []
@@ -170,7 +168,7 @@ def _scan_level(n: int, d: int):
         pairs = np.concatenate(
             [np.repeat(sources, len(subsets), axis=0), np.tile(subsets, (len(sources), 1))], axis=1
         )
-        target = (len(own) - 1 - terms[np.sort(pairs) + offsets].sum(axis=1)).reshape(len(sources), -1)
+        target = np.searchsorted(keys(own), keys(np.sort(pairs))).reshape(len(sources), -1)
         target.setflags(write=False)
         plan.append(target)
     return factorials[counts].prod(axis=1), tuple(plan)
@@ -402,9 +400,7 @@ def vere_jones_check(
 
     if not condition_i or any(scan.status == "fail" for scan in scans):
         overall = "fail"
-    elif scans and all(
-        scan.status == "pass" and scan.signature_certificate for scan in scans
-    ):
+    elif all(scan.signature_certificate for scan in scans):
         overall = "pass"
     else:
         overall = "inconclusive"

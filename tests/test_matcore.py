@@ -230,6 +230,31 @@ def test_numpy_linalg_is_called_in_four_places():
     ]
 
 
+def test_no_cache_is_bounded_by_an_entry_count():
+    # an entry count never bounded memory, and a bound too small for a loop
+    # over sizes rebuilds its tables on every pass: index tables use functools.cache
+    bounded = []
+    for path in sorted(Path(permkernel.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    called = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if ast.unparse(called).split(".")[-1] == "lru_cache":
+                        bounded.append(f"{path.stem}.{node.name}")
+    assert bounded == []
+
+
+def test_principal_minors_at_every_size_reuse_their_subset_tables():
+    rng = np.random.default_rng(16)
+    matrices = [rng.uniform(-1.0, 1.0, (n, n)) for n in range(9, 17)]
+    for a in matrices:
+        principal_minors(a)
+    misses = matcore.subset_table.cache_info().misses
+    for a in matrices:
+        principal_minors(a)
+    assert matcore.subset_table.cache_info().misses == misses
+
+
 def test_principal_submatrix():
     a = blockwise_inverse_m()
     assert np.array_equal(principal_submatrix(a, range(1, 5)), a)

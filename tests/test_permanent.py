@@ -217,7 +217,11 @@ def test_per_b_plan_is_built_once_per_size_and_read_only():
         per_b(rng.uniform(-1.0, 1.0, (m, m)), 0.5)
     info = permanent._per_b_plan.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
-    assert info.maxsize == permanent.MAX_PERMANENT_DIM
+    assert info.maxsize is None
+    # the cache needs no bound: per_b refuses a size above the cap before any plan is built
+    with pytest.raises(DimensionTooLarge):
+        per_b(np.ones((13, 13)), 0.5)
+    assert permanent._per_b_plan.cache_info().currsize == 2
     for array in plan_arrays(9):
         assert array.dtype == np.intp
         assert not array.flags.writeable
@@ -385,9 +389,12 @@ def test_positivity_scan_runs_at_the_order_cap():
     assert scan.value == pytest.approx(value, rel=1e-10)
 
 
-@pytest.mark.parametrize("n, d", [(2, 65), (2, 70), (3, 40), (4, 32)])
+@pytest.mark.parametrize(
+    "n, d", [(1, 3), (3, 3), (4, 5), (6, 6), (2, 65), (2, 70), (3, 40), (4, 32)]
+)
 def test_scan_level_targets_past_int64_base_n_codes(n, d):
-    # n^d overflows int64 here, so base-n codes of the multisets would wrap
+    # small plans, and plans where n^d overflows int64 (base-n codes of the
+    # multisets would wrap there)
     rank = {k: i for i, k in enumerate(itertools.combinations_with_replacement(range(n), d))}
     # stars and bars: row i of subset_table(n + d - 1, d) - arange(d) is the i-th multiset
     assert list(map(tuple, (subset_table(n + d - 1, d) - np.arange(d)).tolist())) == list(rank)
