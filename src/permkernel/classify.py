@@ -17,7 +17,6 @@ from .matcore import (
     as_matrix,
     close,
     find_positivity_signature,
-    signature_conjugate,
     subset_table,
 )
 from .permanent import VJReport, vere_jones_check
@@ -158,16 +157,17 @@ def count_symmetrizable_3subsets(g, tol: Tolerance = DEFAULT_TOL) -> list[tuple]
     return [tuple(t) for t in (triples[_symmetrizable(g, tol)] + 1).tolist()]
 
 
-def _inverse_m_signature(g: np.ndarray, signature, inv, tol: Tolerance):
+def _inverse_m_signature(signature, inv, tol: Tolerance):
     """`signature` when S G S is an inverse M-matrix, else None.
 
-    inv is G^{-1} (None when G is singular); (S G S)^{-1} = S G^{-1} S needs
-    no second inversion.
+    signature must be find_positivity_signature's for G, which certifies
+    every entry of S G S above tol.threshold(G), so S G S is nonnegative
+    and only its inverse is tested. inv is G^{-1} (None when G is
+    singular); (S G S)^{-1} = S G^{-1} S needs no second inversion.
     """
     if signature is None or inv is None:
         return None
-    normalised = signature_conjugate(g, signature)
-    if _is_inverse_m(normalised, signature_conjugate(inv, signature), tol):
+    if _off_diagonal_nonpositive(inv * np.outer(signature, signature), tol):
         return signature
     return None
 
@@ -183,21 +183,26 @@ def is_diag_equiv_inverse_m(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | Non
     s = find_positivity_signature(g, tol)
     if s is None:
         return None
-    return _inverse_m_signature(g, s, _inverse_or_none(g, tol), tol)
+    return _inverse_m_signature(s, _inverse_or_none(g, tol), tol)
 
 
 def willoughby_inequality(g, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Entrywise pivot bound G(i,j) G(k,k) >= G(i,k) G(k,j) for all i, j, k.
 
     Holds for every entrywise-positive 3x3 inverse M-matrix; used to rule
-    out zero entries appearing in conditioned kernels.
+    out zero entries appearing in conditioned kernels. OverflowError when
+    the slack of the degree-2 products, tol.threshold(G, 2), is not a
+    finite double.
     """
     g = as_matrix(g)
     if g.shape[0] != 3:
         raise ValueError("willoughby_inequality expects a 3x3 matrix")
     if np.any(g <= 0.0):
         raise ValueError("willoughby_inequality expects positive entries")
-    slack = tol.threshold(g, 2)
+    with np.errstate(over="ignore"):
+        slack = tol.threshold(g, 2, axis=(0, 1))  # inf once max|G|^2 leaves the doubles
+    if not np.isfinite(slack):
+        raise OverflowError("the pivot bound's slack tol.threshold(G, 2) is not a finite double")
     # axes (k, i, j): G(i,j) G(k,k) against G(i,k) G(k,j)
     lhs = np.diag(g)[:, None, None] * g[None, :, :]
     rhs = g.T[:, :, None] * g[:, None, :]
@@ -261,7 +266,7 @@ def classify_kernel(
     zero_pattern = tuple(map(tuple, (np.argwhere(np.abs(g) <= tol.threshold(g)) + 1).tolist()))
     signature = find_positivity_signature(g, tol)
     inv = _inverse_or_none(g, tol)
-    id_signature = _inverse_m_signature(g, signature, inv, tol)
+    id_signature = _inverse_m_signature(signature, inv, tol)
     sym3 = tuple(count_symmetrizable_3subsets(g, tol)) if n >= 3 else ()
     vj = vere_jones_check(g, b, gamma_grid=gamma_grid, max_order=max_order, tol=tol)
 

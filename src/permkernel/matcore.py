@@ -309,9 +309,10 @@ def effectively_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     Equality of all principal minors is the multilinear restatement of
     |I + xA| = |I + xB| for every diagonal x, so this decides whether A and
     B can serve as kernels of the same vector. Exponential in n and refused
-    above n = 16. The 1x1 and 2x2 minors, a_ii and a_ii a_jj - a_ij a_ji,
-    are read from the pair and compared first, so a pair that differs there
-    stops early; the rest come from one _minor_table of the pair, compared
+    above n = 16 (DimensionTooLarge), but only once the table is needed: the
+    1x1 and 2x2 minors, a_ii and a_ii a_jj - a_ij a_ji, are read from the
+    pair and compared first, so a pair that differs there stops early with
+    False at any n; the rest come from one _minor_table of the pair, compared
     in one pass, each column against the floor of its size. A pair of
     size-k minors decides when both minors and its floor
     tol.threshold((A, B), k) are finite doubles, and is equal within that

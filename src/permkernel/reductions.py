@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import MatrixError, PoleAtSigma, SingularBlock, ZeroPivotEntry
 from .matcore import DEFAULT_TOL, Tolerance, _inverse_or_none, _positions, _solve, as_matrix
-from .classify import _is_inverse_m, _symmetrizable, is_inverse_m_matrix, three_cycles, triple_table
+from .classify import _is_inverse_m, _nonnegative, _symmetrizable, three_cycles, triple_table
 
 _ZERO_NOTE = "pivot row/column {0} has a zero entry"
 _POLE_NOTE = "1 + sigma*G({0},{0}) vanishes at sigma = {1}"
@@ -142,21 +142,27 @@ def _breakpoints(gm: np.ndarray, hi: np.ndarray, tol: Tolerance):
     Returns (degenerate, matrix, triple, values): the (k, m) flags, then the
     matrix, triple and value of each root kept in (0, hi), by matrix, triple
     and value. The thresholds are tol.threshold of the triple's 3x3 block at
-    degree 1 for c^2, 2 for c and 3 for the constant term.
+    degree 1 for c^2, 2 for c and 3 for the constant term. OverflowError
+    when a discriminant or degree-3 threshold is not a finite double.
     """
     entries = three_cycles(gm)
     x, y, z, u, v, w = entries[:6]
-    # cubic terms cancel identically; remaining coefficients of c^2, c, 1
-    a2 = (x + y + z) - (u + v + w)
-    a1 = -((x * y + y * z + z * x) - (u * v + v * w + w * u))
-    a0 = x * y * z - u * v * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        # cubic terms cancel identically; remaining coefficients of c^2, c, 1
+        a2 = (x + y + z) - (u + v + w)
+        a1 = -((x * y + y * z + z * x) - (u * v + v * w + w * u))
+        a0 = x * y * z - u * v * w
+        discriminant = a1 * a1 - 4.0 * a2 * a0  # finite only if a2, a1 and a0 are
+        cubic_zero = tol.threshold(entries, 3, axis=0)  # finite only if degrees 1, 2 are
+    if not (np.isfinite(discriminant).all() and np.isfinite(cubic_zero).all()):
+        raise OverflowError("a breakpoint discriminant or zero threshold is not a finite double")
 
     quadratic = np.abs(a2) > tol.threshold(entries, 1, axis=0)
     linear = ~quadratic & (np.abs(a1) > tol.threshold(entries, 2, axis=0))
-    degenerate = ~quadratic & ~linear & (np.abs(a0) <= tol.threshold(entries, 3, axis=0))
+    degenerate = ~quadratic & ~linear & (np.abs(a0) <= cubic_zero)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(a1 * a1 - 4.0 * a2 * a0)  # NaN for a negative discriminant
+        r = np.sqrt(discriminant)  # NaN for a negative discriminant
         left, right = (-a1 - r) / (2.0 * a2), (-a1 + r) / (2.0 * a2)
         linear_root = np.where(linear, -a0 / a1, np.nan)
         roots = np.where(
@@ -182,7 +188,8 @@ def symmetrizability_breakpoints(
     expansion and reduces to a quadratic; there are therefore at most two
     (in any case at most three) breakpoints, or the identity holds for
     every c and the set is degenerate. Roots are filtered to the open
-    interval (0, 1/pivot_diag).
+    interval (0, 1/pivot_diag). OverflowError when the quadratic's
+    discriminant or zero threshold is beyond a double.
     """
     gm = as_matrix(gamma_mat)
     hi = _interval_end(pivot_diag)
@@ -318,21 +325,20 @@ def johnson_smith_inverse_m(
     """
     h = as_matrix(h)
     h11, h12, h21, h22 = _blocks(h, split)
-    over_h11 = schur_complement(h, "upper-left", split, tol)
+    h11_inv_h12 = _solve_block(h11, h12, "H11", tol)
     h22_inv_h21 = _solve_block(h22, h21, "H22", tol)
-    over_h22 = h11 - h12 @ h22_inv_h21  # schur_complement(h, "lower-right", split, tol)
+    over_h11 = h22 - h21 @ h11_inv_h12
+    over_h22 = h11 - h12 @ h22_inv_h21
 
-    if not is_inverse_m_matrix(over_h11, tol):
+    over11_inv = _inverse_or_none(as_matrix(over_h11), tol)
+    if not _is_inverse_m(over_h11, over11_inv, tol):
         return JohnsonSmithResult(False, "i")
     over22_inv = _inverse_or_none(as_matrix(over_h22), tol)
     if not _is_inverse_m(over_h22, over22_inv, tol):
         return JohnsonSmithResult(False, "ii")
-
-    lower_left = h22_inv_h21 @ over22_inv
-    if lower_left.min() < -tol.threshold(lower_left):
+    if not _nonnegative(h22_inv_h21 @ over22_inv, tol):
         return JohnsonSmithResult(False, "iii")
-
-    upper_right = over22_inv @ h12 @ _solve_block(h22, np.eye(len(h22)), "H22", tol)
-    if upper_right.min() < -tol.threshold(upper_right):
+    # minus H^{-1}'s upper-right block: H11^{-1} H12 (H/H11)^{-1} = (H/H22)^{-1} H12 H22^{-1}
+    if not _nonnegative(h11_inv_h12 @ over11_inv, tol):
         return JohnsonSmithResult(False, "iv")
     return JohnsonSmithResult(True, None)

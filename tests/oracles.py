@@ -49,20 +49,6 @@ def det_cofactor(a) -> float:
     return total
 
 
-def inverse_adjugate(a) -> np.ndarray:
-    """Inverse via the adjugate, entirely on the cofactor oracle."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    det = det_cofactor(a)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, j, axis=0), i, axis=1)
-            sign = (-1.0) ** (i + j)
-            out[i, j] = sign * (det_cofactor(minor) if n > 1 else 1.0) / det
-    return out
-
-
 def permanent_bruteforce(a) -> float:
     a = np.asarray(a, dtype=float)
     m = a.shape[0]

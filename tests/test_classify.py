@@ -161,6 +161,9 @@ def test_willoughby_inequality():
         willoughby_inequality(np.eye(2))
     with pytest.raises(ValueError):
         willoughby_inequality(np.zeros((3, 3)))
+    # max|G|^2 is beyond a double: a named OverflowError, not the scalar power's
+    with pytest.raises(OverflowError, match="^the pivot bound's slack"):
+        willoughby_inequality(1e155 * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]))
 
 
 def test_classify_kernel_fixture_verdicts():

@@ -23,6 +23,8 @@ from permkernel.gallery import (
     laplace_demo_covariance,
     one_symmetrizable_triple,
     reproduce_paper,
+    tripletwise_divisible_covariance,
+    two_symmetrizable_triples,
 )
 from permkernel.matrixio import matrix_to_json
 
@@ -241,6 +243,36 @@ def test_any_json_input_keeps_the_exit_contract(command, doc):
             argv += ["--gamma-grid", "0.1,1", "--max-order", "3"]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+SCALE_EXPONENTS = sorted({*range(-300, 301, 50), -12, -8, -4, 4, 8, 12})
+
+
+@pytest.mark.parametrize(
+    "gallery",
+    [
+        blockwise_inverse_m,
+        tripletwise_divisible_covariance,
+        two_symmetrizable_triples,
+        one_symmetrizable_triple,
+    ],
+)
+def test_scaled_gallery_input_is_never_an_input_error(tmp_path, gallery):
+    # 10^k G is as valid an input as G: each command either answers (exit
+    # 0) or reports a numerical failure (exit 2), never bad input (exit 1)
+    commands = [
+        ["classify", "--max-order", "2"],
+        ["vere-jones", "--max-order", "2"],
+        ["reduce-scan"],
+        ["permanent"],
+    ]
+    exits = {}
+    for k in SCALE_EXPONENTS:
+        path = write_fixture(tmp_path, 10.0**k * gallery(), f"x1e{k}.json")
+        for command in commands:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                exits[k, command[0]] = main([command[0], "--input", path, *command[1:]])
+    assert {key: code for key, code in exits.items() if code not in (0, 2)} == {}
 
 
 def test_reduce_scan_structure(tmp_path, capsys):

@@ -358,6 +358,8 @@ def test_effectively_equivalent_transpose_and_diagonal():
         effectively_equivalent(np.eye(2), np.eye(3))
     with pytest.raises(DimensionTooLarge):
         effectively_equivalent(np.eye(17), np.eye(17))
+    # above n = 16 a pair whose 1x1 minors differ is still decided, before the table
+    assert not effectively_equivalent(np.eye(17), np.diag([1.0] * 16 + [2.0]))
 
 
 def test_effectively_equivalent_zero_pattern_pair():

@@ -27,7 +27,7 @@ from permkernel import (
     symmetrizability_breakpoints,
 )
 from permkernel import reductions
-from permkernel.gallery import one_symmetrizable_triple
+from permkernel.gallery import blockwise_inverse_m, one_symmetrizable_triple
 from permkernel.reductions import BreakpointSet
 
 
@@ -139,6 +139,9 @@ def test_breakpoints_validation():
         symmetrizability_breakpoints(np.ones((3, 3)), (1, 2, 3), 0.0)
     with pytest.raises(ValueError):
         BreakpointSet(values=(0.5,), degenerate=True)
+    # a1 * a1 is beyond a double: a named OverflowError, not a RuntimeWarning
+    with pytest.raises(OverflowError, match="^a breakpoint discriminant or zero threshold"):
+        symmetrizability_breakpoints(1e90 * blockwise_inverse_m()[:3, :3], (1, 2, 3), 1.0)
 
 
 @pytest.mark.parametrize("pivot_diag", [math.nan, math.inf, -math.inf])
@@ -287,15 +290,15 @@ def test_johnson_smith_solves_each_block_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     result = johnson_smith_inverse_m(h, 3)
     assert (result.verdict, result.failed_condition) == (True, None)
-    # H11 and H22 factored once each for a complement; (ii) inverts H/H22
-    # once and (iii) reuses that inverse; (iv) inverts H22
+    # H11 and H22 are factored once each, for both complements and for
+    # (iii) and (iv); (i) and (ii) invert H/H11 and H/H22 once, and (iv)
+    # and (iii) reuse those inverses
     assert sorted(solves) == sorted(
         [
             (h11.tobytes(), "solve"),
             (h22.tobytes(), "solve"),
             (over_h11.tobytes(), "inverse"),
             (over_h22.tobytes(), "inverse"),
-            (h22.tobytes(), "inverse"),
         ]
     )
 
