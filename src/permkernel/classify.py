@@ -223,15 +223,11 @@ class KernelReport:
     witnesses: dict
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
+        return self.__dict__ | {
             "zero_pattern": [list(ij) for ij in self.zero_pattern],
             "signature": list(self.signature) if self.signature else None,
             "sym3_subsets": [list(t) for t in self.sym3_subsets],
-            "m_class": self.m_class,
             "vere_jones": self.vere_jones.to_dict(),
-            "theorem1": self.theorem1,
-            "witnesses": self.witnesses,
         }
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,14 @@ def as_scaling(diag, n: int) -> np.ndarray:
     if d.size != n:
         raise DimensionMismatch(f"scaling has length {d.size}, expected {n}")
     return d
+
+
+def _as_int(value, name: str) -> int:
+    """value as an int; ValueError naming `name` when it is not integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def det(a: np.ndarray):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonpositiveDeterminant, NotPSD, NotSymmetric
-from .matcore import DEFAULT_TOL, Tolerance, as_matrix, det
+from .matcore import DEFAULT_TOL, Tolerance, _as_int, as_matrix, det
 from .reductions import conditioning_kernel
 
 # Draws are squared Gaussians, whose transform exponent is 1/2.
@@ -123,8 +123,10 @@ def sample_squared_gaussian(
     """Draw `count` squared-Gaussian vectors with covariance G, seeded.
 
     Identical (G, count, seed) give identical draws; see _covariance_root
-    for what G must satisfy.
+    for what G must satisfy. count and seed are read as ints (ValueError
+    if not integral), as in laplace_report.
     """
+    count, seed = _as_int(count, "count"), _as_int(seed, "seed")
     root = _covariance_root(g, count, seed, tol)
     draws = np.empty((count, root.shape[0]))
 
@@ -290,6 +292,7 @@ def laplace_report(
     transformed by every exponent column and reduced to its moments in one
     task, so no (count, n) array is held.
     """
+    count, seed = _as_int(count, "count"), _as_int(seed, "seed")
     root = _covariance_root(g, count, seed, tol)
     n = root.shape[0]
     points = [[base[i % len(base)] for i in range(n)] for base in MC_ALPHA_POINTS]

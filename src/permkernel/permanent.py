@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,7 @@ from .matcore import (
     DEFAULT_TOL,
     STACK_BUDGET,
     Tolerance,
+    _as_int,
     _minor_table,
     _positions,
     _positivity_signatures,
@@ -249,14 +249,6 @@ def _positivity_scans(stack: np.ndarray, b: float, max_order: int, tol: Toleranc
     return scans
 
 
-def _as_order(max_order) -> int:
-    """max_order as an int; ValueError when it is not integral."""
-    try:
-        return operator.index(max_order)
-    except TypeError:
-        raise ValueError(f"max_order must be an integer, got {max_order!r}") from None
-
-
 def is_b_positive_definite(
     a, b: float, max_order: int = 5, tol: Tolerance = DEFAULT_TOL
 ) -> PositivityScan:
@@ -283,7 +275,7 @@ def is_b_positive_definite(
     b = float(b)
     if not math.isfinite(b):
         raise ValueError("exponent b must be finite")
-    return _positivity_scans(as_matrix(a)[None], b, _as_order(max_order), tol)[0]
+    return _positivity_scans(as_matrix(a)[None], b, _as_int(max_order, "max_order"), tol)[0]
 
 
 def default_gamma_grid() -> list[float]:
@@ -303,14 +295,7 @@ class GammaScan:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "status": self.status,
-            "signature_certificate": self.signature_certificate,
-            "witness": list(self.witness) if self.witness else None,
-            "value": self.value,
-            "note": self.note,
-        }
+        return self.__dict__ | {"witness": list(self.witness) if self.witness else None}
 
 
 @dataclass(frozen=True)
@@ -333,6 +318,7 @@ class VJReport:
     overall: str = "inconclusive"
 
     def to_dict(self) -> dict:
+        # keys by name: the gamma_scans field goes out as condition_ii (cli, bench/tracer.py read it)
         return {
             "b": self.b,
             "max_order": self.max_order,
@@ -368,7 +354,7 @@ def vere_jones_check(
     """
     g = as_matrix(g)
     b = float(b)
-    max_order = _as_order(max_order)
+    max_order = _as_int(max_order, "max_order")
     if not 0.0 < b < math.inf:
         raise ValueError("exponent b must be finite and strictly positive")
     grid = default_gamma_grid() if gamma_grid is None else [float(x) for x in gamma_grid]

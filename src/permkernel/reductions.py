@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MatrixError, PoleAtSigma, SingularBlock, ZeroPivotEntry
-from .matcore import DEFAULT_TOL, Tolerance, _inverse_or_none, _positions, _solve, as_matrix
+from .matcore import DEFAULT_TOL, Tolerance, _as_int, _inverse_or_none, _positions, _solve, as_matrix
 from .classify import _is_inverse_m, _nonnegative, _symmetrizable, three_cycles, triple_table
 
 _ZERO_NOTE = "pivot row/column {0} has a zero entry"
@@ -268,6 +268,7 @@ def block_double(g, alpha: float) -> np.ndarray:
 
 def _blocks(h: np.ndarray, split: int):
     n = h.shape[0]
+    split = _as_int(split, "split")
     if not 1 <= split < n:
         raise ValueError(f"split must lie in 1..{n - 1}")
     return (

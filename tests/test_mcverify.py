@@ -99,6 +99,19 @@ def test_sampling_input_validation():
         sample_squared_gaussian(np.array([[1.0, 2.0], [2.0, 1.0]]), 10)
     with pytest.raises(ValueError):
         sample_squared_gaussian(np.eye(2), 0)
+    # a non-integral count or seed is refused before the eigendecomposition
+    # and before any worker draws
+    g = gallery.laplace_demo_covariance()
+    for run in (sample_squared_gaussian, laplace_report):
+        with pytest.raises(ValueError, match="^count must be an integer, got 1000.0$"):
+            run(g, 1000.0, 0)
+        for seed in (0.5, 2.0, 1.5):
+            with pytest.raises(ValueError, match="^seed must be an integer"):
+                run(g, 10, seed)
+    assert np.array_equal(
+        sample_squared_gaussian(g, np.int64(10), np.int64(2)).draws,
+        sample_squared_gaussian(g, 10, 2).draws,
+    )
 
 
 @pytest.mark.parametrize(

@@ -603,6 +603,33 @@ def test_vere_jones_failed_gamma_leaves_the_stack(monkeypatch):
     assert shapes == [(3, 4, 4)]
 
 
+def test_vere_jones_certified_gammas_lie_below_failing_ones_under_condition_i():
+    # Seeded signed 3x3 and 4x4 kernels (diagonal U(0.2, 1.5), off-diagonal
+    # U(-1, 1), rounded to 0.01) that satisfy condition (I): no gamma with
+    # a positivity signature lies above a gamma whose scan fails, so the
+    # certified gammas form an interval (0, gamma*]. The order needs
+    # condition (I): on such draws at seed 7, without the filter, 52 of 400
+    # reports have both kinds of gamma, all 52 fail condition (I), and 50
+    # of them have a failing gamma below a certified one.
+    rng = np.random.default_rng(11)
+    drawn = kept = both = 0
+    while kept < 1500:
+        n = 3 + drawn % 2
+        drawn += 1
+        g = rng.uniform(-1.0, 1.0, (n, n))
+        g[np.diag_indices(n)] = rng.uniform(0.2, 1.5, n)
+        report = vere_jones_check(g.round(2), 0.5, max_order=5)
+        if not report.condition_i:
+            continue
+        kept += 1
+        certified = [scan.gamma for scan in report.gamma_scans if scan.signature_certificate]
+        failing = [scan.gamma for scan in report.gamma_scans if scan.status == "fail"]
+        if certified and failing:
+            both += 1
+            assert max(certified) < min(failing), g.round(2)
+    assert both >= 1
+
+
 def test_vere_jones_scan_threshold_overflow_raises():
     # the order-2 threshold zero_tol * (1e160)^2 is not a double: a silent
     # inf would pass every value

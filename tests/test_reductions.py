@@ -252,6 +252,14 @@ def test_schur_complement_errors():
         schur_complement(np.eye(4), "middle", 2)
     with pytest.raises(ValueError):
         schur_complement(np.eye(4), "upper-left", 4)
+    # a non-integral split is an input error, not a slicing TypeError
+    h = block_double(one_symmetrizable_triple(), 0.5)
+    with pytest.raises(ValueError, match="^split must be an integer, got 2.5$"):
+        schur_complement(h, "upper-left", 2.5)
+    for split in (4.0, 2.5):
+        with pytest.raises(ValueError, match="^split must be an integer"):
+            johnson_smith_inverse_m(h, split)
+    assert johnson_smith_inverse_m(h, np.int64(4)) == johnson_smith_inverse_m(h, 4)
 
 
 def test_johnson_smith_on_doubled_kernels():
