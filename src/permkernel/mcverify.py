@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +32,13 @@ MC_ALPHA_POINTS = (
 
 # Draws are generated in fixed-size shards with sub-seed = seed + shard
 # index, so results depend on (G, count, seed) only, never on worker count.
+# A worker draws and reduces its shard in blocks of at most BLOCK_ROWS rows
+# (see _block_rows), so it holds about 1.4 MiB at n = 8, within a 2 MiB
+# L2, not a shard; smaller blocks cost two workers more hand-offs of the
+# interpreter lock. Consecutive draws from one generator equal one large
+# draw, so the blocks do not change the draws.
 SHARD_SIZE = 65536
+BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,10 @@ class LTEstimate:
 
 
 def worker_count() -> int:
-    """Threads that fill the shards: one per CPU, at most 8."""
+    """Threads that fill the shards: one per CPU this process may run on,
+    at most 8."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), 8)
     return min(os.cpu_count() or 1, 8)
 
 
@@ -88,13 +98,36 @@ def _covariance_root(g, count: int, seed: int, tol: Tolerance) -> np.ndarray:
     return vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
 
 
-def _draw_shard(root: np.ndarray, seed: int, index: int, count: int, out=None) -> np.ndarray:
-    """Shard `index` of `count` draws: the squared-Gaussian rows from
-    index * SHARD_SIZE, drawn from default_rng(seed + index)."""
+def _block_rows(n: int) -> int:
+    """Rows of a block at dimension n: at most BLOCK_ROWS, and few enough
+    that z R^T stays under 2^19 multiply-adds, below which OpenBLAS runs a
+    GEMM on one thread, so that a worker's multiply starts no BLAS threads
+    to contend with the pool."""
+    return max(2, min(BLOCK_ROWS, (2**19 - 1) // (n * n)))
+
+
+def _shard_blocks(
+    root: np.ndarray, seed: int, index: int, count: int, stop: threading.Event, out=None
+):
+    """Shard `index` of `count` draws, block by block: yields the
+    squared-Gaussian rows from index * SHARD_SIZE in order, drawn from
+    default_rng(seed + index), as views of `out` (the shard's rows) or,
+    without `out`, of one buffer that the next block overwrites. Ends early
+    once the threading.Event `stop` is set."""
     rows = min(SHARD_SIZE, count - index * SHARD_SIZE)
-    z = np.random.default_rng(seed + index).standard_normal((rows, root.shape[0]))
-    eta = z @ root.T
-    return np.multiply(eta, eta, out=eta if out is None else out)
+    rng = np.random.default_rng(seed + index)
+    step = _block_rows(root.shape[0])
+    # numpy multiplies a one-row block by gemv, not gemm, which changes its
+    # last bits, so a lone last row joins the block before it
+    starts = range(0, max(rows - 1, 1), step)
+    z = np.empty((min(rows, step + 1), root.shape[0]))
+    buffer = np.empty_like(z) if out is None else None
+    for start, end in zip(starts, [*starts[1:], rows]):
+        if stop.is_set():
+            return
+        eta = buffer[: end - start] if out is None else out[start:end]
+        np.matmul(rng.standard_normal(out=z[: end - start]), root.T, out=eta)
+        yield np.multiply(eta, eta, out=eta)
 
 
 def _shard_count(count: int) -> int:
@@ -102,19 +135,34 @@ def _shard_count(count: int) -> int:
 
 
 def _for_each_shard(count: int, task) -> None:
-    """Run task(index) for every shard of `count` draws on worker_count()
-    threads. Worker w takes shards w, w + workers, ..., so the pool holds
-    one future per worker, however many shards there are."""
+    """Run task(index, stop) for every shard of `count` draws on
+    worker_count() threads. Worker w takes shards w, w + workers, ..., so
+    the pool holds one future per worker, however many shards there are.
+    The threading.Event `stop` is set when a task raises or the caller is
+    interrupted; each worker checks it before each shard, and a task may
+    check it between its blocks. The first error is re-raised."""
     shards = _shard_count(count)
     workers = min(worker_count(), shards)
+    stop = threading.Event()
 
     def work(first: int) -> None:
-        for index in range(first, shards, workers):
-            task(index)
+        try:
+            for index in range(first, shards, workers):
+                if stop.is_set():
+                    return
+                task(index, stop)
+        except BaseException:
+            stop.set()
+            raise
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(work, w) for w in range(workers)]:
-            future.result()
+        futures = [pool.submit(work, w) for w in range(workers)]
+        try:
+            for future in futures:
+                future.result()
+        except BaseException:
+            stop.set()
+            raise
 
 
 def sample_squared_gaussian(
@@ -130,9 +178,10 @@ def sample_squared_gaussian(
     root = _covariance_root(g, count, seed, tol)
     draws = np.empty((count, root.shape[0]))
 
-    def fill_shard(index: int) -> None:
+    def fill_shard(index: int, stop: threading.Event) -> None:
         start = index * SHARD_SIZE
-        _draw_shard(root, seed, index, count, out=draws[start : start + SHARD_SIZE])
+        for _ in _shard_blocks(root, seed, index, count, stop, draws[start : start + SHARD_SIZE]):
+            pass
 
     _for_each_shard(count, fill_shard)
     return SampleBatch(n=root.shape[0], count=count, draws=draws)
@@ -176,6 +225,10 @@ class _Moments:
         delta = means - mean
         scatter = table[:, k + 1 :].reshape(-1, k, k).sum(axis=0) + (delta.T * counts) @ delta
         return cls(count=int(total), mean=mean, scatter=scatter)
+
+    def row(self) -> np.ndarray:
+        """These moments as one row of _moments."""
+        return np.concatenate(([self.count], self.mean, self.scatter.ravel()))
 
     @classmethod
     def of(cls, psi: np.ndarray, exponents: np.ndarray) -> _Moments:
@@ -289,8 +342,10 @@ def laplace_report(
     conditioning identity at sigma = 1 with pivot n (None for n = 1).
 
     One pass serves every line: each shard of `count` draws is drawn,
-    transformed by every exponent column and reduced to its moments in one
-    task, so no (count, n) array is held.
+    transformed by every exponent column and reduced to its moments block
+    by block in one task, and its block moments are merged into the shard's
+    row of the table, so a worker holds one block of at most BLOCK_ROWS
+    rows and no (count, n) array is held.
     """
     count, seed = _as_int(count, "count"), _as_int(seed, "seed")
     root = _covariance_root(g, count, seed, tol)
@@ -304,8 +359,11 @@ def laplace_report(
     k = exponents.shape[1]
     table = np.empty((_shard_count(count), _table_width(k)))
 
-    def reduce_shard(index: int) -> None:
-        table[index] = _moments(_draw_shard(root, seed, index, count), exponents)
+    def reduce_shard(index: int, stop: threading.Event) -> None:
+        blocks = _shard_blocks(root, seed, index, count, stop)
+        rows = [_moments(block, exponents) for block in blocks]
+        if not stop.is_set():  # else the blocks ended early and the call raises
+            table[index] = _Moments.combine(np.array(rows), k).row()
 
     _for_each_shard(count, reduce_shard)
     moments = _Moments.combine(table, k)

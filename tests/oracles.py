@@ -398,6 +398,22 @@ def chi2_moment_bound(count: int) -> float:
     return 3.0 * math.sqrt(2.0 / count)
 
 
+def squared_gaussian_draws(g, count: int, seed: int, shard_size: int) -> np.ndarray:
+    """The (count, n) squared-Gaussian draws with covariance G, each shard
+    in one draw: shard i holds the rows from i * shard_size, drawn from
+    default_rng(seed + i). G must already be a valid covariance."""
+    g = np.asarray(g, dtype=float)
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (g + g.T))
+    root = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
+    draws = np.empty((count, g.shape[0]))
+    for start in range(0, count, shard_size):
+        rows = draws[start : start + shard_size]
+        z = np.random.default_rng(seed + start // shard_size).standard_normal(rows.shape)
+        eta = z @ root.T
+        rows[:] = eta * eta
+    return draws
+
+
 def laplace_report_batch(g, count: int, seed: int, shard_size: int) -> tuple:
     """`mcverify.laplace_report` from one (count, n) array of draws, reduced
     line by line with full-array means, standard deviations and np.cov.
@@ -405,14 +421,7 @@ def laplace_report_batch(g, count: int, seed: int, shard_size: int) -> tuple:
     default_rng(seed + i). G must already be a valid covariance."""
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    eigenvalues, vectors = np.linalg.eigh(0.5 * (g + g.T))
-    root = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
-    draws = np.empty((count, n))
-    for start in range(0, count, shard_size):
-        rows = draws[start : start + shard_size]
-        z = np.random.default_rng(seed + start // shard_size).standard_normal(rows.shape)
-        eta = z @ root.T
-        rows[:] = eta * eta
+    draws = squared_gaussian_draws(g, count, seed, shard_size)
 
     def closed_form(kernel, alphas):
         return float(np.linalg.det(np.eye(len(alphas)) + np.asarray(alphas)[:, None] * kernel)) ** -0.5

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo Laplace-transform checks."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -18,9 +19,9 @@ from permkernel import (
     verify_conditioning,
 )
 from permkernel import gallery, mcverify
-from permkernel.mcverify import SHARD_SIZE, laplace_report
+from permkernel.mcverify import BLOCK_ROWS, SHARD_SIZE, laplace_report
 
-from oracles import chi2_moment_bound, laplace_report_batch
+from oracles import chi2_moment_bound, laplace_report_batch, squared_gaussian_draws
 from test_golden import assert_same
 
 
@@ -54,6 +55,45 @@ def test_sampling_follows_the_shard_seeding_contract():
         for count, seed in ((SHARD_SIZE, 5), (SHARD_SIZE, 6), (7, 7))
     ]
     assert np.array_equal(whole.draws, np.concatenate(parts))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8, 12])
+@pytest.mark.parametrize("tail", [1, 17])
+def test_sampling_draws_each_shard_as_one_draw(n, tail):
+    # the blocks, ending in a lone row or mid-block, give each shard's one-draw rows bit for bit
+    g = _report_covariance(n)
+    count = SHARD_SIZE + 3 * mcverify._block_rows(n) + tail
+    batch = sample_squared_gaussian(g, count, seed=5)
+    assert np.array_equal(batch.draws, squared_gaussian_draws(g, count, 5, SHARD_SIZE))
+
+
+def test_worker_count_follows_the_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(mcverify.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(mcverify.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert mcverify.worker_count() == 1
+    monkeypatch.setattr(mcverify.os, "sched_getaffinity", lambda pid: set(range(3)))
+    assert mcverify.worker_count() == 3
+    monkeypatch.setattr(mcverify.os, "sched_getaffinity", lambda pid: set(range(20)))
+    assert mcverify.worker_count() == 8
+    monkeypatch.delattr(mcverify.os, "sched_getaffinity")
+    assert mcverify.worker_count() == 8
+    monkeypatch.setattr(mcverify.os, "cpu_count", lambda: None)
+    assert mcverify.worker_count() == 1
+
+
+def test_shard_pool_stops_at_the_first_error(monkeypatch):
+    monkeypatch.setattr(mcverify, "worker_count", lambda: 4)
+    started = []
+
+    def task(index, stop):
+        started.append(index)
+        if index == 0:
+            raise RuntimeError("shard 0 failed")
+        stop.wait(1.0)
+
+    with pytest.raises(RuntimeError, match="shard 0 failed"):
+        mcverify._for_each_shard(64 * SHARD_SIZE, task)
+    assert 0 in started and len(started) <= 2 * 4
 
 
 def test_sampling_holds_one_copy_of_the_draws(monkeypatch):
@@ -264,7 +304,9 @@ def _report_covariance(n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
-@pytest.mark.parametrize("count", [1, 2, SHARD_SIZE, 2 * SHARD_SIZE + 7])
+@pytest.mark.parametrize(
+    "count", [1, 2, SHARD_SIZE, SHARD_SIZE + 3 * BLOCK_ROWS + 17, 2 * SHARD_SIZE + 7]
+)
 def test_laplace_report_matches_the_batch_oracle(n, count):
     g = _report_covariance(n)
     report = laplace_report(g, count, 13)
@@ -282,15 +324,26 @@ def test_laplace_report_independent_of_worker_count(monkeypatch):
     serial = laplace_report(g, count, 3)
     monkeypatch.setattr(mcverify, "worker_count", lambda: 4)
     assert laplace_report(g, count, 3) == serial
+    # more workers than cores, switching threads as often as the interpreter allows
+    monkeypatch.setattr(mcverify, "worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = laplace_report(g, count, 3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_laplace_report_holds_no_draw_array(monkeypatch):
+    # one worker holds one block of at most BLOCK_ROWS rows, not a shard
     monkeypatch.setattr(mcverify, "worker_count", lambda: 1)
     count = 1_000_000
-    tracemalloc.start()
-    try:
-        laplace_report(np.eye(3), count, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.5 * count * 3 * 8
+    for g, bound in ((np.eye(3), 0.5 * count * 3 * 8), (_report_covariance(8), 2 * 2**20)):
+        tracemalloc.start()
+        try:
+            laplace_report(g, count, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
