@@ -32,13 +32,14 @@ MC_ALPHA_POINTS = (
 
 # Draws are generated in fixed-size shards with sub-seed = seed + shard
 # index, so results depend on (G, count, seed) only, never on worker count.
-# A worker draws and reduces its shard in blocks of at most BLOCK_ROWS rows
-# (see _block_rows), so it holds about 1.4 MiB at n = 8, within a 2 MiB
-# L2, not a shard; smaller blocks cost two workers more hand-offs of the
-# interpreter lock. Consecutive draws from one generator equal one large
-# draw, so the blocks do not change the draws.
+# A worker draws and reduces its shard in blocks of BLOCK_ROWS rows, so it
+# holds about 1.4 MiB at n = 8, within a 2 MiB L2, not a shard; smaller
+# blocks cost two workers more hand-offs of the interpreter lock. At n <= 8
+# a block's z R^T has under 2^19 multiply-adds, which the OpenBLAS that
+# numpy wheels ship (0.3.31) runs on one thread. Consecutive draws from one
+# generator equal one large draw, so the blocks do not change the draws.
 SHARD_SIZE = 65536
-BLOCK_ROWS = 8192
+BLOCK_ROWS = 8191
 
 
 @dataclass(frozen=True)
@@ -98,14 +99,6 @@ def _covariance_root(g, count: int, seed: int, tol: Tolerance) -> np.ndarray:
     return vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
 
 
-def _block_rows(n: int) -> int:
-    """Rows of a block at dimension n: at most BLOCK_ROWS, and few enough
-    that z R^T stays under 2^19 multiply-adds, below which OpenBLAS runs a
-    GEMM on one thread, so that a worker's multiply starts no BLAS threads
-    to contend with the pool."""
-    return max(2, min(BLOCK_ROWS, (2**19 - 1) // (n * n)))
-
-
 def _shard_blocks(
     root: np.ndarray, seed: int, index: int, count: int, stop: threading.Event, out=None
 ):
@@ -116,11 +109,10 @@ def _shard_blocks(
     once the threading.Event `stop` is set."""
     rows = min(SHARD_SIZE, count - index * SHARD_SIZE)
     rng = np.random.default_rng(seed + index)
-    step = _block_rows(root.shape[0])
     # numpy multiplies a one-row block by gemv, not gemm, which changes its
     # last bits, so a lone last row joins the block before it
-    starts = range(0, max(rows - 1, 1), step)
-    z = np.empty((min(rows, step + 1), root.shape[0]))
+    starts = range(0, max(rows - 1, 1), BLOCK_ROWS)
+    z = np.empty((min(rows, BLOCK_ROWS + 1), root.shape[0]))
     buffer = np.empty_like(z) if out is None else None
     for start, end in zip(starts, [*starts[1:], rows]):
         if stop.is_set():
@@ -344,8 +336,8 @@ def laplace_report(
     One pass serves every line: each shard of `count` draws is drawn,
     transformed by every exponent column and reduced to its moments block
     by block in one task, and its block moments are merged into the shard's
-    row of the table, so a worker holds one block of at most BLOCK_ROWS
-    rows and no (count, n) array is held.
+    row of the table, so a worker holds one block of BLOCK_ROWS rows (one
+    more when a lone last row joins it) and no (count, n) array is held.
     """
     count, seed = _as_int(count, "count"), _as_int(seed, "seed")
     root = _covariance_root(g, count, seed, tol)

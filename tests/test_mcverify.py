@@ -62,7 +62,7 @@ def test_sampling_follows_the_shard_seeding_contract():
 def test_sampling_draws_each_shard_as_one_draw(n, tail):
     # the blocks, ending in a lone row or mid-block, give each shard's one-draw rows bit for bit
     g = _report_covariance(n)
-    count = SHARD_SIZE + 3 * mcverify._block_rows(n) + tail
+    count = SHARD_SIZE + 3 * BLOCK_ROWS + tail
     batch = sample_squared_gaussian(g, count, seed=5)
     assert np.array_equal(batch.draws, squared_gaussian_draws(g, count, 5, SHARD_SIZE))
 
@@ -324,7 +324,11 @@ def test_laplace_report_independent_of_worker_count(monkeypatch):
     serial = laplace_report(g, count, 3)
     monkeypatch.setattr(mcverify, "worker_count", lambda: 4)
     assert laplace_report(g, count, 3) == serial
-    # more workers than cores, switching threads as often as the interpreter allows
+    # 8 threads, one per shard and more than the cores, switching as often
+    # as the interpreter allows
+    count = 8 * SHARD_SIZE + 7
+    monkeypatch.setattr(mcverify, "worker_count", lambda: 1)
+    serial = laplace_report(g, count, 3)
     monkeypatch.setattr(mcverify, "worker_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
