@@ -21,7 +21,6 @@ from .classify import (
     is_inverse_m_matrix,
     is_m_matrix,
     is_symmetrizable_3x3,
-    willoughby_inequality,
 )
 from .errors import (
     DimensionMismatch,

@@ -186,29 +186,6 @@ def is_diag_equiv_inverse_m(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | Non
     return _inverse_m_signature(s, _inverse_or_none(g, tol), tol)
 
 
-def willoughby_inequality(g, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Entrywise pivot bound G(i,j) G(k,k) >= G(i,k) G(k,j) for all i, j, k.
-
-    Holds for every entrywise-positive 3x3 inverse M-matrix; used to rule
-    out zero entries appearing in conditioned kernels. OverflowError when
-    the slack of the degree-2 products, tol.threshold(G, 2), is not a
-    finite double.
-    """
-    g = as_matrix(g)
-    if g.shape[0] != 3:
-        raise ValueError("willoughby_inequality expects a 3x3 matrix")
-    if np.any(g <= 0.0):
-        raise ValueError("willoughby_inequality expects positive entries")
-    with np.errstate(over="ignore"):
-        slack = tol.threshold(g, 2, axis=(0, 1))  # inf once max|G|^2 leaves the doubles
-    if not np.isfinite(slack):
-        raise OverflowError("the pivot bound's slack tol.threshold(G, 2) is not a finite double")
-    # axes (k, i, j): G(i,j) G(k,k) against G(i,k) G(k,j)
-    lhs = np.diag(g)[:, None, None] * g[None, :, :]
-    rhs = g.T[:, :, None] * g[:, None, :]
-    return not np.any(lhs < rhs - slack)
-
-
 @dataclass(frozen=True)
 class KernelReport:
     """Full structural verdict for one kernel candidate."""

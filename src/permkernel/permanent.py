@@ -4,7 +4,7 @@ existence criterion.
 per_b(A) = sum over permutations tau of b^(number of cycles of tau) times
 prod_i A[i, tau(i)]. Specialisations: per_b(A, 1) is the permanent and
 per_b(A, -1) = (-1)^m det(A). A kernel candidate K satisfies the criterion
-for exponent b when all real eigenvalues of K are nonnegative and, for every
+for exponent b when every principal minor of K is nonnegative and, for every
 gamma > 0, every repeated principal submatrix of (I + gamma*K)^{-1} K has a
 nonnegative b-permanent. Only a finite portion of that quantifier space can
 be searched, so scan verdicts are evidence, not proofs, unless a positivity
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DimensionTooLarge, IndexOutOfRange
 from .matcore import (
     DEFAULT_TOL,
+    MAX_ENUMERATION_DIM,
     STACK_BUDGET,
     Tolerance,
     _as_int,
@@ -313,20 +314,45 @@ class VJReport:
     b: float
     max_order: int
     condition_i: bool
-    real_eigenvalues: tuple
+    condition_i_witness: tuple | None = None  # (subset, minor): see _condition_i_witness
     gamma_scans: tuple = field(default_factory=tuple)
     overall: str = "inconclusive"
 
     def to_dict(self) -> dict:
         # keys by name: the gamma_scans field goes out as condition_ii (cli, bench/tracer.py read it)
+        witness = self.condition_i_witness
         return {
             "b": self.b,
             "max_order": self.max_order,
             "condition_i": self.condition_i,
-            "real_eigenvalues": list(self.real_eigenvalues),
+            "condition_i_witness": witness and {"subset": list(witness[0]), "minor": witness[1]},
             "condition_ii": [scan.to_dict() for scan in self.gamma_scans],
             "overall": self.overall,
         }
+
+
+def _condition_i_witness(g: np.ndarray, max_order: int, tol: Tolerance) -> tuple | None:
+    """(1-based subset, minor) of the first principal minor of G below
+    -tol.threshold(G, |S|), by size and then in combinations order, or None,
+    from one _minor_table of G (sizes up to max_order only above n = 16).
+    A size with no failing minor that decides (it and its threshold finite
+    doubles) but a negative or NaN one raises OverflowError.
+    """
+    n = g.shape[0]
+    top = n if n <= MAX_ENUMERATION_DIM else min(n, max_order)
+    table, (sizes, sets) = _minor_table(g, top), _table_order(n, top)
+    with np.errstate(over="ignore"):
+        bounds = tol.threshold(g, np.arange(top + 1), axis=(0, 1))[sizes]
+    decides = np.isfinite(table) & np.isfinite(bounds)
+    bad = decides & (table < -bounds)
+    flagged = bad | (~decides & ~(table >= 0.0))  # NaN fails >= too
+    if flagged.any():
+        size = sizes[flagged].min()
+        bad = bad[sizes == size]
+        if not bad.any():
+            raise OverflowError(f"the minors or threshold of order {size} are not finite doubles")
+        minors = table[sizes == size][bad].tolist()
+        return min(zip(map(tuple, (sets[size][bad] + 1).tolist()), minors))
 
 
 def vere_jones_check(
@@ -338,9 +364,10 @@ def vere_jones_check(
 ) -> VJReport:
     """Run both existence conditions on a kernel candidate.
 
-    Condition (I): all real eigenvalues nonnegative (complex pairs are
-    ignored). Condition (II) at every grid gamma: a positivity signature of
-    the tilted kernel certifies a pass at every order; without one, the
+    Condition (I): G is P0, exactly when det(I + diag(alpha) G) > 0 on
+    alpha >= 0 (see _condition_i_witness; necessary only above n = 16).
+    Condition (II) at every grid gamma: a positivity signature of the
+    tilted kernel certifies a pass at every order; without one, the
     bounded multiset scan runs. Gammas at resolvent poles are skipped with a
     note; a gamma whose tilt overflows (see _resolvents) raises OverflowError.
 
@@ -363,10 +390,6 @@ def vere_jones_check(
     if not all(0.0 < x < math.inf for x in grid):
         raise ValueError("gamma values must be finite and strictly positive")
 
-    thr = tol.threshold(g)
-    real = sorted(float(ev.real) for ev in np.linalg.eigvals(g) if abs(ev.imag) <= thr)
-    condition_i = all(ev >= -thr for ev in real)
-
     poles, tilted = _resolvents(g, grid, tol)
     _, certified = _positivity_signatures(tilted, tol)
     # a signature S makes S A S entrywise positive, so every term of every
@@ -384,7 +407,8 @@ def vere_jones_check(
             status = "pass" if result.passed else "fail"
             scans.append(GammaScan(gamma, status, witness=result.witness, value=result.value))
 
-    if not condition_i or any(scan.status == "fail" for scan in scans):
+    witness = _condition_i_witness(g, max_order, tol)
+    if witness or any(scan.status == "fail" for scan in scans):
         overall = "fail"
     elif all(scan.signature_certificate for scan in scans):
         overall = "pass"
@@ -393,8 +417,8 @@ def vere_jones_check(
     return VJReport(
         b=b,
         max_order=max_order,
-        condition_i=condition_i,
-        real_eigenvalues=tuple(real),
+        condition_i=witness is None,
+        condition_i_witness=witness,
         gamma_scans=tuple(scans),
         overall=overall,
     )

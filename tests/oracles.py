@@ -10,7 +10,9 @@ matrices, which is the point. Two routes are kept for bit-for-bit
 comparison instead: the per-gamma route of the Vere-Jones check, which
 calls the library's one-matrix functions gamma by gamma, and the per-call
 b-permanent, which rebuilds per_b's index tables at every call and, unlike
-per_b, leaves all-zero Held-Karp path rows unextended. A batched-LU route,
+per_b, leaves all-zero Held-Karp path rows unextended. The per-gamma route
+reads condition (I) from one LU determinant per principal submatrix, so
+its witness minor agrees only to rounding. A batched-LU route,
 one determinant per subset size, is the reference for the principal-minor
 table, full or capped at any size (to a Hadamard-scaled tolerance), and
 for the verdicts of effectively_equivalent; the library itself takes an LU
@@ -106,16 +108,50 @@ def positivity_scan_bruteforce(a, b: float, max_order: int, zero_tol: float = 1e
     return True, None, None
 
 
+def eigenvalue_condition_i(g, tol=DEFAULT_TOL) -> bool:
+    """The eigenvalue rule: every real eigenvalue of G is at least
+    -tol.threshold(G), an eigenvalue counting as real when its imaginary
+    part is at most that threshold too. P0 implies it, not conversely."""
+    g = np.asarray(g, dtype=float)
+    thr = tol.zero_tol * max(1.0, float(np.abs(g).max()))
+    return all(ev.real >= -thr for ev in np.linalg.eigvals(g) if abs(ev.imag) <= thr)
+
+
+def p0_witness_by_det(g, max_order: int, tol=DEFAULT_TOL):
+    """Condition (I) of `vere_jones_check`, one principal submatrix at a
+    time: np.linalg.det of each, by size and then in combinations order,
+    over every size up to n = 16 and the sizes up to max_order above it.
+    Returns (1-based subset, minor) of the first minor below
+    -zero_tol * max(1, max|G|)^size, or None. A minor decides when it and
+    that threshold are finite doubles; a size with no deciding failure but
+    a negative or NaN minor that cannot decide raises OverflowError."""
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0]
+    s = max(1.0, float(np.abs(g).max()))
+    for size in range(1, (n if n <= 16 else min(n, max_order)) + 1):
+        try:
+            bound = tol.zero_tol * s**size
+        except OverflowError:
+            bound = math.inf
+        undecided = False
+        for subset in itertools.combinations(range(n), size):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                minor = float(np.linalg.det(g[np.ix_(subset, subset)]))
+            if not (math.isfinite(minor) and math.isfinite(bound)):
+                undecided = undecided or not minor >= 0.0
+            elif minor < -bound:
+                return tuple(i + 1 for i in subset), minor
+        if undecided:
+            raise OverflowError(f"a minor or threshold of order {size} is not a finite double")
+    return None
+
+
 def vere_jones_per_gamma(g, b: float, grid, max_order: int, tol=DEFAULT_TOL):
     """`vere_jones_check` one gamma at a time: a resolvent, then the
     signature certificate, then the scan of that gamma's tilted kernel
-    alone. Returns the same VJReport."""
+    alone, with condition (I) from p0_witness_by_det. Returns the same
+    VJReport, up to the rounding of the witness minor."""
     g = np.asarray(g, dtype=float)
-    s = max(1.0, float(np.abs(g).max()))
-    real = sorted(
-        float(ev.real) for ev in np.linalg.eigvals(g) if abs(ev.imag) <= tol.zero_tol * s
-    )
-    condition_i = all(ev >= -tol.zero_tol * s for ev in real)
     scans = []
     for gamma in grid:
         try:
@@ -131,13 +167,14 @@ def vere_jones_per_gamma(g, b: float, grid, max_order: int, tol=DEFAULT_TOL):
             scans.append(GammaScan(gamma, "pass"))
         else:
             scans.append(GammaScan(gamma, "fail", witness=result.witness, value=result.value))
-    if not condition_i or any(scan.status == "fail" for scan in scans):
+    witness = p0_witness_by_det(g, max_order, tol)
+    if witness is not None or any(scan.status == "fail" for scan in scans):
         overall = "fail"
     elif all(scan.status == "pass" and scan.signature_certificate for scan in scans):
         overall = "pass"
     else:
         overall = "inconclusive"
-    return VJReport(b, max_order, condition_i, tuple(real), tuple(scans), overall)
+    return VJReport(b, max_order, witness is None, witness, tuple(scans), overall)
 
 
 def _subset_tables(m: int):

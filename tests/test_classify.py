@@ -21,7 +21,6 @@ from permkernel import (
     principal_submatrix,
     signature_conjugate,
     vere_jones_check,
-    willoughby_inequality,
 )
 from permkernel.gallery import (
     blockwise_inverse_m,
@@ -144,26 +143,6 @@ def test_is_diag_equiv_inverse_m():
     recovered = is_diag_equiv_inverse_m(signature_conjugate(k, signs))
     assert recovered is not None
     assert np.array_equal(recovered, signs)
-
-
-def test_willoughby_inequality():
-    assert willoughby_inequality(
-        np.array([[1.0, 0.2, 0.2], [0.2, 1.0, 0.2], [0.2, 0.2, 1.0]])
-    )
-    assert not willoughby_inequality(
-        np.array([[1.0, 0.1, 0.9], [0.9, 1.0, 0.9], [0.1, 0.9, 1.0]])
-    )
-    # every inverse-M block of the counterexample satisfies the bound
-    a = blockwise_inverse_m()
-    for triple in itertools.combinations(range(1, 5), 3):
-        assert willoughby_inequality(principal_submatrix(a, triple))
-    with pytest.raises(ValueError):
-        willoughby_inequality(np.eye(2))
-    with pytest.raises(ValueError):
-        willoughby_inequality(np.zeros((3, 3)))
-    # max|G|^2 is beyond a double: a named OverflowError, not the scalar power's
-    with pytest.raises(OverflowError, match="^the pivot bound's slack"):
-        willoughby_inequality(1e155 * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]))
 
 
 def test_classify_kernel_fixture_verdicts():
@@ -289,17 +268,6 @@ def test_diag_equiv_symmetric_implies_blockwise_symmetrizable():
             assert is_symmetrizable_3x3(principal_submatrix(g, triple))
 
 
-def test_inverse_m_implies_willoughby_on_positive_blocks():
-    rng = np.random.default_rng(21)
-    checked = 0
-    for _ in range(200):
-        g = rng.uniform(0.1, 2.0, (3, 3))
-        if is_inverse_m_matrix(g):
-            checked += 1
-            assert willoughby_inequality(g)
-    assert checked > 0
-
-
 def test_trichotomy_sampling_recorded():
     # positive 3x3 matrices that survive the scan should be inverse-M or
     # diagonally equivalent to symmetric; escapes are recorded, since the
@@ -343,6 +311,16 @@ def _negative_cycle_kernel(rng, n):
     return g
 
 
+def _non_p0_kernel(rng, n):
+    """Positive diagonal with one negative 2x2 principal minor: the pair
+    G_ij, G_ji of one sign with G_ij G_ji > G_ii G_jj."""
+    g = _positive_kernel(rng, n)
+    i, j = rng.choice(n, 2, replace=False)
+    scale = np.sqrt(g[i, i] * g[j, j])
+    g[i, j], g[j, i] = rng.uniform(1.2, 2.0) * scale, rng.uniform(1.2, 2.0) * scale
+    return g
+
+
 def _broken_symmetrizable_kernel(rng, n):
     """Diagonally symmetrizable but for one entry: exactly the triples
     without that entry's pair stay symmetrizable."""
@@ -369,11 +347,17 @@ def test_classify_kernel_is_invariant_under_permutation_and_transpose():
         two_symmetrizable_triples(),
         one_symmetrizable_triple(),
     ]
-    kinds = (_cert_kernel, _positive_kernel, _negative_cycle_kernel, _broken_symmetrizable_kernel)
+    kinds = (
+        _cert_kernel,
+        _positive_kernel,
+        _negative_cycle_kernel,
+        _broken_symmetrizable_kernel,
+        _non_p0_kernel,
+    )
     for n in (4, 5):
         for _ in range(10):
             inputs += [kind(rng, n) for kind in kinds]
-    signed = with_sym3 = 0
+    signed = with_sym3 = not_p0 = 0
     for g in inputs:
         n = len(g)
         perm = rng.permutation(n)
@@ -389,6 +373,7 @@ def test_classify_kernel_is_invariant_under_permutation_and_transpose():
         assert sorted(map(tuple, relabelled)) == list(base.sym3_subsets)
         assert transposed.sym3_subsets == base.sym3_subsets
         with_sym3 += bool(base.sym3_subsets)
+        not_p0 += not base.vere_jones.condition_i
         if base.signature is None:
             assert permuted.signature is None and transposed.signature is None
             continue
@@ -396,4 +381,4 @@ def test_classify_kernel_is_invariant_under_permutation_and_transpose():
         s = np.array(base.signature)
         assert permuted.signature in (tuple(s[perm]), tuple(-s[perm]))
         assert transposed.signature in (tuple(s), tuple(-s))
-    assert signed >= 20 and with_sym3 >= 10
+    assert signed >= 20 and with_sym3 >= 10 and not_p0 >= 20

@@ -218,15 +218,14 @@ def test_determinants_and_inverses_take_one_route():
     assert _linalg_references("inv") == []
 
 
-def test_numpy_linalg_is_called_in_four_places():
-    # every solve goes through matcore._solve's singularity guard; the
-    # eigenvalues of condition (I) and the Monte Carlo covariance root are
-    # the only other numpy.linalg calls
+def test_numpy_linalg_is_called_in_three_places():
+    # every solve goes through matcore._solve's singularity guard, and the
+    # Monte Carlo covariance root is the only other numpy.linalg call;
+    # condition (I) reads the principal minors, not eigenvalues
     assert sorted(_linalg_uses()) == [
         ("matcore._solve", "solve"),
         ("matcore.det", "det"),
         ("mcverify._covariance_root", "eigh"),
-        ("permanent.vere_jones_check", "eigvals"),
     ]
 
 

@@ -30,6 +30,7 @@ from permkernel.matcore import subset_table
 from oracles import (
     cycle_weights_per_call,
     det_cofactor,
+    eigenvalue_condition_i,
     per_b_bruteforce,
     per_b_per_call,
     permanent_bruteforce,
@@ -445,16 +446,69 @@ def test_vere_jones_symmetric_positive_definite():
 
 
 def test_vere_jones_complex_spectrum_is_vacuous_for_condition_i():
-    g = np.array([[1.0, -1.0], [1.0, 1.0]])  # eigenvalues 1 +- i
+    g = np.array([[1.0, -1.0], [1.0, 1.0]])  # eigenvalues 1 +- i; minors 1, 1 and 2
     report = vere_jones_check(g, 0.5, gamma_grid=(0.5, 2.0), max_order=4)
-    assert report.real_eigenvalues == ()
+    assert report.condition_i_witness is None
     assert report.condition_i
 
 
 def test_vere_jones_negative_real_eigenvalue_fails():
     report = vere_jones_check(np.diag([1.0, -1.0]), 0.5, gamma_grid=(0.5,), max_order=3)
     assert not report.condition_i
+    assert report.condition_i_witness == ((2,), -1.0)
     assert report.overall == "fail"
+
+
+def test_condition_i_reads_the_principal_minors_not_the_spectrum():
+    # eigenvalues 5 and -1 +- 1.73i: no real eigenvalue is negative, but
+    # every 2x2 principal minor is 1 - 3 = -2, so det(I + t diag(1, 1, 0) G)
+    # = 1 + 2t - 2t^2 turns negative and G is no kernel
+    circulant = [[1.0, 3.0, 1.0], [1.0, 1.0, 3.0], [3.0, 1.0, 1.0]]
+    assert eigenvalue_condition_i(circulant)
+    report = vere_jones_check(circulant, 0.5)
+    assert not report.condition_i and report.overall == "fail"
+    assert report.condition_i_witness == ((1, 2), -2.0)
+    assert report.to_dict()["condition_i_witness"] == {"subset": [1, 2], "minor": -2.0}
+
+
+def test_condition_i_is_p0_stronger_than_the_eigenvalue_rule():
+    # Seeded signed 3x3 to 5x5 kernels (diagonal U(0.2, 1.5), off-diagonal
+    # U(-1, 1), rounded to 0.01). P0 implies the eigenvalue rule, and a
+    # draw that is not P0 reads "fail" at every b. Measured on these 600:
+    # 139 fail P0 yet pass the eigenvalue rule, and with that rule as
+    # condition (I), 47 of those read "inconclusive" at b = 5.
+    rng = np.random.default_rng(7)
+    stronger = 0
+    for i in range(600):
+        n = 3 + i % 3
+        g = rng.uniform(-1.0, 1.0, (n, n))
+        g[np.diag_indices(n)] = rng.uniform(0.2, 1.5, n)
+        g = g.round(2)
+        report = vere_jones_check(g, 0.5)
+        if report.condition_i:
+            assert eigenvalue_condition_i(g), g
+            continue
+        stronger += eigenvalue_condition_i(g)
+        for b in (2.0, 5.0):
+            other = vere_jones_check(g, b)
+            assert other.condition_i_witness == report.condition_i_witness
+            assert other.overall == "fail", (g, b)
+        assert report.overall == "fail", g
+    assert stronger >= 1
+
+
+def test_condition_i_threshold_beyond_a_double():
+    # a size whose threshold zero_tol * max|G|^size is not a double still
+    # passes its nonnegative minors: 1e100 x a gallery 4x4 has minors of up
+    # to 1e400 (inf) under an infinite size-4 threshold
+    g = 1e100 * gallery.tripletwise_divisible_covariance()
+    assert vere_jones_check(g, 0.5, max_order=2).condition_i
+    # but it cannot decide a negative minor: here the 2x2 minor is -8e320
+    with pytest.raises(OverflowError, match="order 2"):
+        vere_jones_check([[1e160, 3e160], [3e160, 1e160]], 0.5, max_order=2)
+    # a smaller size that fails decides first
+    report = vere_jones_check([[-1e160, 3e160], [3e160, 1e160]], 0.5, max_order=2)
+    assert report.condition_i_witness == ((1,), -1e160)
 
 
 def test_vere_jones_positivity_violation_fails():
@@ -557,28 +611,34 @@ def test_vere_jones_certificate_skips_the_scan(monkeypatch):
     signed_inv_m = inv_m * np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
     for g in (gallery.one_symmetrizable_triple(), signed_inv_m):
         shapes.clear()
+        tables.clear()
         report = vere_jones_check(g, 0.5)
         assert report.overall == "pass"
         assert all(
             scan.status == "pass" and scan.signature_certificate
             for scan in report.gamma_scans
         )
-        # the pole test of the whole grid, and no minors
+        # the pole test of the whole grid, no scan, and only G's own
+        # table of minors for condition (I)
         assert shapes == [(16, 4, 4)]
-        assert tables == [] and bins == []
+        assert bins == []
+        [(own, minors)] = tables
+        assert np.array_equal(own, g) and minors == 2**4
     # 7 of the 16 gammas carry no certificate: only their tilted kernels
     # are scanned, as one stack with one table of minors up to size 4, and
     # all 7 stay through the 5 levels
     shapes.clear()
+    tables.clear()
     g = gallery.tripletwise_divisible_covariance()
     report = vere_jones_check(g, 0.5)
-    assert shapes == [(16, 4, 4)]  # no pivot of the table trips its guard
+    assert shapes == [(16, 4, 4)]  # no pivot of either table trips its guard
     uncertified = [scan.gamma for scan in report.gamma_scans if not scan.signature_certificate]
     assert len(uncertified) == 7
     assert [scan.status for scan in report.gamma_scans] == ["pass"] * 16
-    [(stack, minors)] = tables
+    [(stack, minors), (own, own_minors)] = tables
     assert np.array_equal(stack, np.stack([resolvent(g, gamma) for gamma in uncertified]))
-    assert minors == 2**4
+    assert minors == own_minors == 2**4
+    assert np.array_equal(own, g)
     assert bins == _level_bins(4, [7] * 5)
 
 
@@ -597,8 +657,11 @@ def test_vere_jones_failed_gamma_leaves_the_stack(monkeypatch):
     assert report.gamma_scans[1].witness == (2, 3, 4)
     # gammas 3.3 and 100 are one stack, whose minors of every size come
     # from one table; 3.3 fails at level 3 and takes no part in levels 4
-    # to 8, which scan gamma 100 alone
-    assert [(len(stack), minors) for stack, minors in tables] == [(2, 2**4)]
+    # to 8, which scan gamma 100 alone. Condition (I) then reads G's table
+    assert [(stack.shape, minors) for stack, minors in tables] == [
+        ((2, 4, 4), 2**4),
+        ((4, 4), 2**4),
+    ]
     assert bins == _level_bins(4, [2, 2, 2, 1, 1, 1, 1, 1])
     assert shapes == [(3, 4, 4)]
 
@@ -698,18 +761,27 @@ def test_stacked_grid_matches_the_per_gamma_route():
     statuses = set()
     fail_levels = set()
     chunked = 0
+    witness_sizes = set()
     for trial in range(120):
         n = 2 + trial % 5
         order = 2 + trial % 7
         b = (0.25, 0.5, 2.0)[trial % 3]
         g, grid = _grid_case(rng, ("pole", "positive", "signed", "heavy")[trial // 5 % 4], n)
-        got = vere_jones_check(g, b, gamma_grid=grid, max_order=order)
-        want = vere_jones_per_gamma(g, b, grid or default_gamma_grid(), order)
-        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        report = vere_jones_check(g, b, gamma_grid=grid, max_order=order)
+        got = report.to_dict()
+        want = vere_jones_per_gamma(g, b, grid or default_gamma_grid(), order).to_dict()
+        # the route's condition (I) minors are LU determinants, not the
+        # minor table's: its witness minor agrees to rounding
+        if want["condition_i_witness"]:
+            size = len(want["condition_i_witness"]["subset"])
+            minors = [doc["condition_i_witness"].pop("minor") for doc in (got, want)]
+            assert abs(minors[0] - minors[1]) <= 1e-13 * max(1.0, np.abs(g).max()) ** size
+            witness_sizes.add(size)
+        assert json.dumps(got) == json.dumps(want)
         # the stack is cut into pieces of at most this many gammas
         pairs = sum(target.size for target in permanent._scan_level(n, order)[1])
-        chunked += 2**16 // pairs < len(got.gamma_scans)
-        for scan in got.gamma_scans:
+        chunked += 2**16 // pairs < len(report.gamma_scans)
+        for scan in report.gamma_scans:
             statuses.add((scan.status, scan.signature_certificate))
             if scan.witness:
                 fail_levels.add(len(scan.witness))
@@ -720,6 +792,7 @@ def test_stacked_grid_matches_the_per_gamma_route():
         ("fail", False),
     }
     assert fail_levels >= {1, 2, 3, 4}
+    assert witness_sizes >= {1, 2}
     assert chunked
 
 
