@@ -99,6 +99,14 @@ def _covariance_root(g, count: int, seed: int, tol: Tolerance) -> np.ndarray:
     return vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
 
 
+def _blocks(rows: int) -> zip:
+    """(start, end) of each block of BLOCK_ROWS rows out of `rows`. numpy
+    multiplies a one-row block by gemv, not gemm, which changes its last
+    bits, so a lone last row joins the block before it."""
+    starts = range(0, max(rows - 1, 1), BLOCK_ROWS)
+    return zip(starts, [*starts[1:], rows])
+
+
 def _shard_blocks(
     root: np.ndarray, seed: int, index: int, count: int, stop: threading.Event, out=None
 ):
@@ -109,12 +117,9 @@ def _shard_blocks(
     once the threading.Event `stop` is set."""
     rows = min(SHARD_SIZE, count - index * SHARD_SIZE)
     rng = np.random.default_rng(seed + index)
-    # numpy multiplies a one-row block by gemv, not gemm, which changes its
-    # last bits, so a lone last row joins the block before it
-    starts = range(0, max(rows - 1, 1), BLOCK_ROWS)
     z = np.empty((min(rows, BLOCK_ROWS + 1), root.shape[0]))
     buffer = np.empty_like(z) if out is None else None
-    for start, end in zip(starts, [*starts[1:], rows]):
+    for start, end in _blocks(rows):
         if stop.is_set():
             return
         eta = buffer[: end - start] if out is None else out[start:end]
@@ -224,8 +229,9 @@ class _Moments:
 
     @classmethod
     def of(cls, psi: np.ndarray, exponents: np.ndarray) -> _Moments:
-        """Moments of one array of draws."""
-        return cls.combine(_moments(psi, exponents)[None], exponents.shape[1])
+        """Moments of one array of draws, reduced block by block."""
+        rows = [_moments(psi[start:end], exponents) for start, end in _blocks(len(psi))]
+        return cls.combine(np.array(rows), exponents.shape[1])
 
     def estimate(self, num: int, den: int | None = None) -> LTEstimate:
         """Mean of column `num`, or with `den` the ratio of the means of

@@ -14,7 +14,6 @@ certificate is found.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -44,48 +43,54 @@ MAX_POSITIVITY_ORDER = 8
 def _per_b_plan(m: int):
     """Read-only intp index arrays of per_b at size m, built on first use.
 
-    Held-Karp level k: the size-k masks (ascending), then flat positions in
-    its (rows, m) path table of each row's lowest bit and of the extensions
-    (row, end above that bit and not in the row), and the extensions' flat
-    positions in the next level's table. Set-partition level k: the needed
-    size-k sets s and the (len(s), 2^(k-1)) gathers sub | head and rest ^
-    sub of their blocks that contain head = min(s).
+    Sets go by size, and within a size those without index 0 come first.
+    Held-Karp level k: its slice of the sets and, among the products held
+    after a +0.0 slot, the flat positions of (T - {e}, e) for each (T, e)
+    of its path table (the slot where no path ends) and of (T, min(T)).
+    Set-partition level k: the slice of the sets S it needs and positions
+    sub | head and rest ^ sub of their blocks that contain head = min(S).
     """
     bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # row T: the bits of mask T
     pop, low = bits.sum(axis=1), bits.argmax(axis=1)
-    levels = [np.flatnonzero(pop == k) for k in range(m + 2)]
+    order = np.lexsort((bits[:, 0], pop))  # stable: by mask within each part
+    rank = np.argsort(order)  # the position of each mask in level order
+    edges = np.cumsum([0] + [math.comb(m, k) for k in range(m + 1)]).tolist()
     walk, split = [], []
-    for k, rows in enumerate(levels[1:-1], start=1):
-        r, e = np.nonzero((bits[rows] == 0) & (np.arange(m) > low[rows, None]))
-        dst = np.searchsorted(levels[k + 1], rows[r] | (1 << e)) * m + e
-        walk.append((rows, np.arange(len(rows)) * m + low[rows], r * m + e, dst))
-        s = rows[((rows & 1) == 0) | (rows == (1 << m) - 1)]
+    for k in range(1, m + 1):
+        rows = order[edges[k] : edges[k + 1]]
+        ends = (bits[rows] == 1) & ((np.arange(m) != low[rows, None]) | (k == 1))
+        prev = rank[rows[:, None] ^ (1 << np.arange(m))] - edges[k - 1]
+        src = np.where(ends, 1 + prev * m + np.arange(m), 0)
+        walk.append((slice(*edges[k : k + 2]), src, 1 + np.arange(len(rows)) * m + low[rows]))
+        s = rows[((rows & 1) == 0) | (k == m)]  # a prefix of the level
         head = 1 << low[s]
         rest = s ^ head
         pos = np.nonzero(bits[rest])[1].reshape(len(s), k - 1)
         sub = (1 << pos) @ bits[: 1 << (k - 1), : k - 1].T
-        split.append((s, sub | head[:, None], rest[:, None] ^ sub))
-    for array in itertools.chain.from_iterable(walk + split):
-        array.setflags(write=False)
+        blocks = rank[sub | head[:, None]], rank[rest[:, None] ^ sub]
+        split.append((slice(edges[k], edges[k] + len(s)), *blocks))
+    for _, *arrays in walk + split:
+        for array in arrays:
+            array.setflags(write=False)
     return tuple(walk), tuple(split)
 
 
 def _cycle_weights(a: np.ndarray, walk) -> np.ndarray:
-    """C[T] for every index set T (a bitmask): the sum, over the cyclic
-    orders of T, of the entry products around the cycle.
+    """C[T] for every index set T, in _per_b_plan's order: the sum, over
+    the cyclic orders of T, of the entry products around the cycle.
 
     Held-Karp: path[T, e] sums the products along the paths that start at
-    min(T), visit all of T and end at e. One product with A extends every
-    path by an edge; the edge back to min(T) closes it into a cycle and
-    gives C[T].
+    min(T), visit all of T and end at e; one gather builds it from the
+    last level's products. One product with A extends every path by an
+    edge; the edge back to min(T) closes it into a cycle and gives C[T].
     """
     m = a.shape[0]
-    path, weight = np.eye(m), np.zeros(1 << m)  # one path table per |T|; row i is {i}
-    for k, (rows, close, src, dst) in enumerate(walk, start=1):
-        ext = path @ a
-        weight[rows] = ext.take(close)
-        path = np.zeros((math.comb(m, k + 1), m))
-        path.put(dst, ext.take(src))
+    ext = np.zeros(1 + math.comb(m, m // 2) * m)
+    ext[1 : 1 + m], weight = 1.0, np.zeros(1 << m)  # level 0: a path starts anywhere
+    for level, src, close in walk:
+        path = ext[src]
+        np.matmul(path, a, out=ext[1 : 1 + path.size].reshape(path.shape))
+        weight[level] = ext[close]
     return weight
 
 
@@ -110,8 +115,10 @@ def per_b(a, b: float) -> float:
     f[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         weight = b * _cycle_weights(a, walk)
-        for s, wi, fi in split:
-            f[s] = (weight.take(wi) * f.take(fi)).sum(axis=1)
+        for level, wi, fi in split:
+            terms = weight[wi]
+            terms *= f[fi]
+            terms.sum(axis=1, out=f[level])
     if not np.isfinite(f[-1]):
         raise OverflowError(f"per_b of this {m}x{m} matrix is not finite in double precision")
     return float(f[-1])

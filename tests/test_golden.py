@@ -7,10 +7,14 @@ relative 1e-12 so that a different BLAS cannot break the lock. The text
 table is compared byte for byte. Documents are parsed as strict JSON: a NaN
 or Infinity token in a report fails its case.
 
-`python3 tests/test_golden.py` rewrites every golden file from the current
-code; run it only when a change of output is intended. The CLI writes JSON
-on one line; the recorder indents it (two spaces, sorted keys) so that a
-re-recorded file diffs line by line. The text table is written verbatim.
+`python3 tests/test_golden.py [CASE ...]` re-records the named cases (all
+of them by default) from the current code: it rewrites a golden file only
+when the file is missing or the case no longer matches it as the test
+checks, so that a run on unchanged code changes nothing and a run after an
+intended change of output rewrites only the cases that changed. The CLI
+writes JSON on one line; the recorder indents it (two spaces, sorted keys)
+so that a re-recorded file diffs line by line. The text table is written
+verbatim.
 """
 
 import contextlib
@@ -118,15 +122,20 @@ def assert_same(got, want, where: str = "$") -> None:
         assert got == want, f"{where}: {got!r} != {want!r}"
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, tmp_path):
-    code, out = run_case(name, tmp_path)
-    assert code == 0
-    recorded = (GOLDEN / name).read_text()
+def assert_recorded(name: str, out: str, recorded: str) -> None:
+    """Case `name`'s output agrees with its recorded text: byte for byte for
+    the text table, by assert_same for a JSON document."""
     if name.endswith(".txt"):
         assert out == recorded
     else:
         assert_same(parse(out), parse(recorded))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path):
+    code, out = run_case(name, tmp_path)
+    assert code == 0
+    assert_recorded(name, out, (GOLDEN / name).read_text())
 
 
 def test_float_tolerance_is_relative():
@@ -149,12 +158,20 @@ def test_non_finite_tokens_are_not_json(token):
 if __name__ == "__main__":
     import tempfile
 
+    unknown = sorted(set(sys.argv[1:]) - set(CASES))
+    if unknown:
+        sys.exit(f"no such case: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
-        for case in sorted(CASES):
+        for case in sys.argv[1:] or sorted(CASES):
             code, text = run_case(case, Path(scratch))
             if code != 0:
                 sys.exit(f"{case}: exit code {code}")
+            try:
+                assert_recorded(case, text, (GOLDEN / case).read_text())
+                continue
+            except (FileNotFoundError, AssertionError, ValueError):
+                pass  # missing, changed, or not a JSON document
             if case.endswith(".json"):
                 text = json.dumps(parse(text), indent=2, sort_keys=True) + "\n"
             (GOLDEN / case).write_text(text)

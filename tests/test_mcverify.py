@@ -296,6 +296,35 @@ def test_verify_conditioning_trivial_and_random():
         verify_conditioning(sample_squared_gaussian(one, 100, seed=0), one, 1.0, ())
 
 
+def test_batch_moments_reduce_block_by_block():
+    # a lone last row joins the block before it, as in the shard blocks
+    assert list(mcverify._blocks(1)) == [(0, 1)]
+    assert list(mcverify._blocks(BLOCK_ROWS + 1)) == [(0, BLOCK_ROWS + 1)]
+    rows = 2 * BLOCK_ROWS + 1
+    assert list(mcverify._blocks(rows)) == [(0, BLOCK_ROWS), (BLOCK_ROWS, rows)]
+    g = gallery.laplace_demo_covariance()
+    batch = sample_squared_gaussian(g, 1_000_000, seed=4)
+    tracemalloc.start()
+    try:
+        check = verify_conditioning(batch, g, 1.0, (0.5, 0.5))
+        marginal = empirical_laplace(batch, (0.25, 0.5, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the conditioning check's (2, count) value table alone takes 15.3 MiB
+    assert peak <= 2 * 2**20
+    # one reduction of the whole batch gives the same moments up to rounding
+    for columns, got, den in (
+        (mcverify._conditioning_exponents(np.array([0.5, 0.5]), 1.0), check.lhs, 1),
+        (np.array([[0.25, 0.5, 1.0]]).T, marginal, None),
+    ):
+        whole = mcverify._moments(batch.draws, columns)[None]
+        want = mcverify._Moments.combine(whole, columns.shape[1]).estimate(0, den)
+        assert got.count == want.count == batch.count
+        assert got.point_estimate == pytest.approx(want.point_estimate, rel=1e-13)
+        assert got.std_error == pytest.approx(want.std_error, rel=1e-13)
+
+
 def _report_covariance(n: int) -> np.ndarray:
     if n == 3:
         return gallery.laplace_demo_covariance()

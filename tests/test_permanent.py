@@ -51,10 +51,19 @@ PSD_VIOLATOR = np.array(
 
 
 def test_per_b_identity_is_exact_power():
-    for n in range(1, 9):
+    for n in range(1, 13):
         for b in (0.25, 0.5, 1.0, 2.0):
             # dyadic b keeps both sides exactly representable
             assert per_b(np.eye(n), b) == b**n
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_per_b_of_all_ones_is_the_rising_factorial(m):
+    # every permutation contributes b^(cycles), and summing b^(cycles) over
+    # the permutations of m indices gives b (b + 1) ... (b + m - 1)
+    for b in (0.25, 0.5, 0.7, 1.0, 2.0, 3.3):
+        rising = math.prod(b + i for i in range(m))
+        assert per_b(np.ones((m, m)), b) == pytest.approx(rising, rel=1e-12, abs=0.0)
 
 
 def test_per_b_two_by_two_closed_form():
@@ -151,19 +160,27 @@ def test_per_b_scratch_memory_at_the_dimension_cap():
 
 def plan_arrays(m):
     walk, split = permanent._per_b_plan(m)
-    return list(itertools.chain.from_iterable(walk + split))
+    return [array for _, *arrays in walk + split for array in arrays]
+
+
+def level_order(m):
+    """The masks of all index sets in per_b's level order: by size, and
+    within a size the sets without index 0 first, each part by mask."""
+    return np.array(sorted(range(1 << m), key=lambda t: (bin(t).count("1"), t & 1, t)))
 
 
 def test_per_b_is_the_per_call_recurrence_bit_for_bit():
-    # per_b_per_call rebuilds the index tables at every call and leaves
-    # all-zero path rows unextended; per_b must give the same floats, sign
-    # of zero included. A nonzero cycle weight may differ in its last bit,
-    # since a row's product with A can round differently beside another
-    # number of rows (seen only where A has a zero row or column, so that
-    # per_b is 0 anyway), but the zero weights must be the same sets, each
-    # +0.0 as if never multiplied
+    # per_b_per_call rebuilds the index tables at every call, holds the sets
+    # in mask order and leaves all-zero path rows unextended; per_b, in
+    # level order, must give the same floats, sign of zero included. A
+    # nonzero cycle weight may differ in its last bit, since a row's product
+    # with A can round differently beside another number of rows (seen only
+    # where A has a zero row or column, so that per_b is 0 anyway), but the
+    # zero weights must be the same sets, each +0.0 as if never multiplied
     def check(rng, trial, a):
-        weight = permanent._cycle_weights(a, permanent._per_b_plan(a.shape[0])[0])
+        m = a.shape[0]
+        weight = np.empty(1 << m)
+        weight[level_order(m)] = permanent._cycle_weights(a, permanent._per_b_plan(m)[0])
         zero = weight == 0.0
         assert np.array_equal(zero, cycle_weights_per_call(a) == 0.0), (trial, a.shape[0])
         assert not np.signbit(weight[zero]).any(), (trial, a.shape[0])
@@ -228,6 +245,14 @@ def test_per_b_plan_is_built_once_per_size_and_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[...] = 0
+    # each Held-Karp level holds the next run of sets in level order, and
+    # each set-partition level a slice that starts with its level's
+    for m in (1, 6, 9):
+        walk, split = permanent._per_b_plan(m)
+        levels = [level for level, _, _ in walk]
+        assert [level.start for level in levels] == [1, *(level.stop for level in levels[:-1])]
+        assert levels[-1].stop == 1 << m
+        assert [level.start for level, _, _ in split] == [level.start for level in levels]
 
 
 def test_per_b_plan_is_not_built_at_import():
