@@ -72,15 +72,17 @@ def triple_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return triples, flat
 
 
-def three_cycles(a: np.ndarray) -> np.ndarray:
-    """Entries of every 3x3 principal submatrix of each matrix of a stack
+def three_cycles(a: np.ndarray, part: slice = slice(None)) -> np.ndarray:
+    """Entries of the 3x3 principal submatrices of the triples
+    triple_table(n)[0][part] (by default all m) of each matrix of a stack
     (..., n, n), shape (9, ..., m).
 
-    Column t belongs to triple (i, j, k) = triple_table(n)[0][t]. Rows 0-2
+    Column t belongs to triple (i, j, k), the t-th of `part`. Rows 0-2
     are the forward cycle (a_ij, a_jk, a_ki), rows 3-5 the reverse cycle
     (a_ji, a_ik, a_kj) and rows 6-8 the diagonal (a_ii, a_jj, a_kk).
     """
-    cycles = np.take(a.reshape(*a.shape[:-2], -1), triple_table(a.shape[-1])[1], axis=-1)
+    flat = triple_table(a.shape[-1])[1][:, part]
+    cycles = np.take(a.reshape(*a.shape[:-2], -1), flat, axis=-1)
     return cycles.transpose(-2, *range(cycles.ndim - 2), -1)
 
 

@@ -271,13 +271,13 @@ def _minor_table(stack: np.ndarray, max_size: int | None = None) -> np.ndarray:
     max_size = n if max_size is None else min(max_size, n)
     sizes, sets = _table_order(n, max_size)
     a = stack.reshape(-1, n, n)
-    limit = GROWTH_LIMIT * np.abs(a).max(axis=(1, 2))[:, None]
     table = np.ones((len(a), 1))
     # comp[j, :, :, i]: the complement on range(k, n) of A_j[S], S the i-th set within range(k)
     # below max_size elements (table order; all of the table when uncapped), of minor base[j, i];
     # S + k grows on while extends[i]. Subsets are last, so operations run on contiguous entries
     comp, base, extends = a[..., None], table, sizes[sizes < max_size] < max_size - 1
     with np.errstate(all="ignore"):
+        limit = GROWTH_LIMIT * np.abs(a).max(axis=(1, 2))[:, None]  # inf above max|A| ~ 1.8e306
         for k in range(n):
             extended = base * comp[:, 0, 0]
             table = np.concatenate((table, extended), axis=1)

@@ -15,10 +15,22 @@ from .classify import _is_inverse_m, _nonnegative, _symmetrizable, three_cycles,
 
 _ZERO_NOTE = "pivot row/column {0} has a zero entry"
 _POLE_NOTE = "1 + sigma*G({0},{0}) vanishes at sigma = {1}"
-# Triples x matrices in one reduce_scan stack. three_cycles gathers 9 doubles
-# a triple, 72 KiB, below glibc's 128 KiB mmap threshold: larger temporaries
-# are mapped afresh and page-faulted in on every call
+# Triples x matrices in one reduce_scan stack, and the most triples of one
+# matrix in one gather. three_cycles gathers 9 doubles a triple, 72 KiB,
+# below glibc's 128 KiB mmap threshold: larger temporaries are mapped afresh
+# and page-faulted in on every call
 _TRIPLE_CHUNK = 2**10
+# Doubles in one temporary of reduce_scan's screen, the same 72 KiB
+_SCREEN_DOUBLES = 9 * _TRIPLE_CHUNK
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+# Off-diagonal entries above this share of a kernel's largest magnitude keep
+# `_cycle_products`' products of three unit entries normal doubles
+_NORMAL_SHARE = 2.0 * _TINY ** (1 / 3)
+
+
+def _spans(start: int, stop: int, size: int):
+    """Consecutive slices of at most `size` covering range(start, stop)."""
+    return (slice(i, min(i + size, stop)) for i in range(start, stop, size))
 
 
 def _zero_pivots(g: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -135,23 +147,33 @@ def _interval_end(pivot_diag: float) -> float:
     return 1.0 / pivot_diag
 
 
-def _breakpoints(gm: np.ndarray, hi: np.ndarray, tol: Tolerance):
-    """Breakpoints of every triple (see `three_cycles`) of each matrix of a
-    stack (k, n, n) in one pass; hi (k,) holds each one's interval end.
-
-    Returns (degenerate, matrix, triple, values): the (k, m) flags, then the
-    matrix, triple and value of each root kept in (0, hi), by matrix, triple
-    and value. The thresholds are tol.threshold of the triple's 3x3 block at
-    degree 1 for c^2, 2 for c and 3 for the constant term. OverflowError
-    when a discriminant or degree-3 threshold is not a finite double.
-    """
-    entries = three_cycles(gm)
+def _quadratic(entries: np.ndarray):
+    """Coefficients (a2, a1, a0) of the breakpoint quadratic P(c) = F(c) -
+    B(c) of each triple of `three_cycles` rows (9, ...), where F(c) = (x -
+    c)(y - c)(z - c) over the forward cycle x, y, z and B(c) the same over
+    the reverse cycle u, v, w: the cubic terms cancel identically."""
     x, y, z, u, v, w = entries[:6]
     with np.errstate(over="ignore", invalid="ignore"):
-        # cubic terms cancel identically; remaining coefficients of c^2, c, 1
         a2 = (x + y + z) - (u + v + w)
         a1 = -((x * y + y * z + z * x) - (u * v + v * w + w * u))
         a0 = x * y * z - u * v * w
+    return a2, a1, a0
+
+
+def _breakpoints(entries: np.ndarray, coefficients, hi: np.ndarray, tol: Tolerance):
+    """Breakpoints of the triples of a stack of k matrices in one pass, from
+    their `three_cycles` rows `entries` (9, k, m) and the `_quadratic` of
+    those; hi (k,) holds each matrix's interval end.
+
+    Returns (degenerate, matrix, triple, values): the (k, m) flags, then the
+    matrix, triple (column of `entries`) and value of each root kept in (0,
+    hi), by matrix, triple and value. The thresholds are tol.threshold of
+    the triple's 3x3 block at degree 1 for c^2, 2 for c and 3 for the
+    constant term. OverflowError when a discriminant or degree-3 threshold
+    is not a finite double.
+    """
+    a2, a1, a0 = coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
         discriminant = a1 * a1 - 4.0 * a2 * a0  # finite only if a2, a1 and a0 are
         cubic_zero = tol.threshold(entries, 3, axis=0)  # finite only if degrees 1, 2 are
     if not (np.isfinite(discriminant).all() and np.isfinite(cubic_zero).all()):
@@ -196,8 +218,42 @@ def symmetrizability_breakpoints(
     ids = _positions(triple, gm.shape[0])
     if len(ids) != 3 or len(set(ids)) != 3:
         raise ValueError("triple must consist of three distinct indices")
-    degenerate, _, _, values = _breakpoints(gm[np.ix_(ids, ids)][None], np.array([hi]), tol)
+    entries = three_cycles(gm[np.ix_(ids, ids)][None])
+    degenerate, _, _, values = _breakpoints(entries, _quadratic(entries), np.array([hi]), tol)
     return BreakpointSet(values=tuple(values.tolist()), degenerate=bool(degenerate[0, 0]))
+
+
+def _near_root(coefficients, reach: np.ndarray, local: np.ndarray, c: np.ndarray, kappa: float):
+    """Per (pivot, sigma) pair, row `local` of a stack's `_quadratic`
+    coefficients and largest off-diagonal magnitudes `reach` (k, m), and
+    shift c: has some triple |P(c)| <= kappa (M + |c|)^3, M its reach, or a
+    bound that is not a normal double, or P(c) NaN?"""
+    a2, a1, a0 = coefficients
+    c = c[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # in place, so that at most three (pairs, m) temporaries are live
+        value = a2[local] * c
+        value += a1[local]
+        value *= c
+        value += a0[local]
+        bound = reach[local] + np.abs(c)
+        bound *= np.square(bound)
+        bound *= kappa
+        far = np.abs(value, out=value) > bound
+        far &= bound >= _TINY
+    return ~far.all(axis=1)
+
+
+def _near_zero(sub: np.ndarray, outer: np.ndarray, c: np.ndarray, share: float, eta: float):
+    """Per kernel K = sub - c outer of a stack, as `_conditioning_kernels`
+    builds it: has K an off-diagonal entry at most share * max(1, max|K|),
+    one that cancels, at most eta (|sub| + |c outer|), or one not finite?"""
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = c[:, None, None] * outer
+        size = np.abs(sub - shift)
+        scale = size.max(axis=(1, 2), initial=1.0)[:, None, None]
+        sure = (size > share * scale) & (size > eta * (np.abs(sub) + np.abs(shift)))
+    return ~(sure | np.eye(sub.shape[-1], dtype=bool)).all(axis=(1, 2))
 
 
 def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
@@ -208,10 +264,33 @@ def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     conditioning kernel (status "ok") or the pole there (status "pole"). A
     pivot whose row or column has a zero entry carries a "note" and empty
     lists instead. Errors: ValueError for a nonpositive diagonal at a usable
-    pivot, then those of `_poles` and `_pivot_products`. Pivots and non-pole
-    (pivot, sigma) pairs run in stacks of _TRIPLE_CHUNK // C(n-1, 3) matrices
-    (at least one), on pivot blocks built once; each kernel is bit for bit
-    conditioning_kernel's. Each pair's subsets come from one mask of all pairs.
+    pivot, then those of `_poles`, `_pivot_products` and `_breakpoints`.
+
+    Pivots run in stacks of _TRIPLE_CHUNK // C(n-1, 3) matrices (at least
+    one, whose triples run _TRIPLE_CHUNK at a time), on pivot blocks built
+    once. A stack's ratio cycles and breakpoint quadratics also screen its
+    non-pole (pivot, sigma) pairs. `_symmetrizable`, the one decision rule,
+    runs on the kernels of the pairs kept only, in stacks of the same size,
+    each kernel bit for bit conditioning_kernel's; a dropped pair lists no
+    triple. The screen is exact:
+
+    - At pivot p, K_ij = G_ip G_pj (R_ij - c), with R the ratio matrix and
+      c = sigma / (1 + sigma G_pp). So a triple's two 3-cycles of K are
+      Pi F(c) and Pi B(c), where Pi = prod G_tp G_pt is the same for both
+      and F - B = P, its breakpoint quadratic (see `_quadratic`).
+    - Where no entry cancels, |K_ij| > eta (|G_ij| + |c G_ip G_pj|) with
+      eta = min(1, 16 eps / rel_tol), each computed K_ij has a relative
+      error of at most about rel_tol / 8. Matching signs make |F| - |B| =
+      +-P, so the cycle test can pass only where |P(c)| <= about 2 rel_tol
+      max(|F|, |B|) plus the rounding of P, and max(|F|, |B|) <= (M + |c|)^3
+      for M the triple's largest |R|. A pair is kept where some triple has
+      |P(c)| <= kappa (M + |c|)^3, kappa = 4 rel_tol + 64 eps.
+    - The zero rule: a triple's threshold is at most the kernel-wide
+      tol.threshold(K), and a pair is kept where an off-diagonal entry is at
+      most twice that, or _NORMAL_SHARE of max(1, max|K|), below which
+      `_cycle_products` may leave the normal doubles.
+    - A pair with a non-finite value, or whose bound is not a normal
+      double, is kept.
     """
     g = as_matrix(g)
     sigma_grid = [float(sigma) for sigma in sigma_grid]  # echoed in the report
@@ -224,24 +303,46 @@ def reduce_scan(g, sigma_grid, tol: Tolerance = DEFAULT_TOL) -> list[dict]:
     poles, pairs, coefs = _poles(g, usable, sigma_grid, tol)
     rest, sub, outer = _pivot_blocks(g, usable)
     triples = triple_table(n - 1)[0]
-    width = max(1, _TRIPLE_CHUNK // len(triples))
+    width, span = max(1, _TRIPLE_CHUNK // len(triples)), min(len(triples), _TRIPLE_CHUNK)
+    step = max(1, _SCREEN_DOUBLES // max(span, (n - 1) ** 2))  # pairs per screen block
+    kappa = 4.0 * tol.rel_tol + 64.0 * _EPS
+    kept = np.zeros(len(coefs), dtype=bool)  # per non-pole pair, pivot-major
     found = []  # breakpoint entries per usable pivot
-    for part in (slice(start, start + width) for start in range(0, len(usable), width)):
-        flags, matrix, triple, values = _breakpoints(sub[part] / outer[part], hi[part], tol)
+    for part in _spans(0, len(usable), width):
+        first, last = np.searchsorted(pairs, (part.start, part.stop)).tolist()  # its pairs
+        ratios = sub[part] / outer[part]
+        flags, roots = np.empty((len(ratios), len(triples)), dtype=bool), []
+        for cols in _spans(0, len(triples), span):
+            cycles = three_cycles(ratios, cols)
+            coefficients = _quadratic(cycles)
+            flags[:, cols], matrix, triple, values = _breakpoints(cycles, coefficients, hi[part], tol)
+            roots.append((matrix, triple + cols.start, values))
+            reach = np.abs(cycles[:6]).max(axis=0)
+            for block in _spans(first, last, step):
+                local = pairs[block] - part.start
+                kept[block] |= _near_root(coefficients, reach, local, coefs[block], kappa)
         entries = [
             [{"triple": t, "values": [], "degenerate": f} for t, f in zip(*entry)]
             for entry in zip((rest[part][:, triples] + 1).tolist(), flags.tolist())
         ]
-        for i, t, value in zip(matrix.tolist(), triple.tolist(), values.tolist()):
-            entries[i][t]["values"].append(value)
+        for matrix, triple, values in roots:
+            for i, t, value in zip(matrix.tolist(), triple.tolist(), values.tolist()):
+                entries[i][t]["values"].append(value)
         found += entries
-    mask = np.empty((len(coefs), len(triples)), dtype=bool)  # per non-pole pair
-    for part in (slice(start, start + width) for start in range(0, len(coefs), width)):
+    share, eta = max(2.0 * tol.zero_tol, _NORMAL_SHARE), min(1.0, 16.0 * _EPS / tol.rel_tol)
+    for block in _spans(0, len(coefs), step):
+        kept[block] |= _near_zero(sub[pairs[block]], outer[pairs[block]], coefs[block], share, eta)
+    chosen = np.flatnonzero(kept)
+    mask = np.empty((len(chosen), len(triples)), dtype=bool)  # per kept pair
+    for cut in _spans(0, len(chosen), width):
+        part = chosen[cut]
         kernels = _conditioning_kernels(sub[pairs[part]], outer[pairs[part]], coefs[part])
-        mask[part] = _symmetrizable(kernels, tol)
+        mask[cut] = _symmetrizable(kernels, tol)
     listed, ends = (triples[np.nonzero(mask)[1]] + 1).tolist(), np.cumsum(mask.sum(axis=1)).tolist()
-    subsets = (listed[start:end] for start, end in zip([0, *ends], ends))
-    found, pivots = iter(zip(found, poles.tolist())), []
+    subsets = [[] for _ in coefs]
+    for pair, start, end in zip(chosen.tolist(), [0, *ends], ends):
+        subsets[pair] = listed[start:end]
+    found, subsets, pivots = iter(zip(found, poles.tolist())), iter(subsets), []
     for pivot, skip in enumerate(unusable.tolist(), 1):
         if skip:
             note = _ZERO_NOTE.format(pivot)

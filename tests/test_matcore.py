@@ -572,6 +572,18 @@ def test_minor_table_recomputes_minors_behind_a_zero_pivot(monkeypatch):
     assert _minor_table(a).tolist() == capped + [0.0]
 
 
+def test_minor_table_guard_near_the_largest_double_does_not_warn():
+    # GROWTH_LIMIT * max|A| overflows above max|A| ~ 1.8e306; the guard is then inf
+    for a in ([[1.797693134862316e306]], [[1e306, 2e306], [3e305, 1e306]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            minors = principal_minors(a)
+            permkernel.vere_jones_check(a, 0.5, gamma_grid=[0.1, 1])
+            permkernel.classify_kernel(a, gamma_grid=[0.1, 1], max_order=3)
+        assert minors[(1,)] == a[0][0]
+    assert minors[(1, 2)] == np.inf
+
+
 def test_effectively_equivalent_verdicts_match_the_oracle():
     rng = np.random.default_rng(53)
     for n in range(2, 9):

@@ -4,8 +4,10 @@
 `symmetrizability_breakpoints` and the `reduce_scan` report must equal the
 loops in `oracles.py` exactly, on signed input and on the edge cases of
 their rules: entries exactly at the zero threshold, negative diagonals,
-3-cycles that tie within rel_tol, double roots, poles, sigma <= 0 and a
-sigma whose product with G overflows.
+3-cycles that tie within rel_tol, double roots, poles, sigma <= 0, a
+sigma whose product with G overflows, and the edges of reduce_scan's
+screen: sigmas at a breakpoint, kernel entries at zero, inputs whose every
+pair is kept, large and small scales and the whole range of tolerances.
 """
 
 import collections
@@ -15,6 +17,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     breakpoints_scalar,
@@ -314,7 +318,8 @@ def test_reduce_scan_stacks_stay_bounded():
 
 def test_reduce_scan_stack_edge_inside_a_sigma_row(monkeypatch):
     # n = 10 on the CLI's default grid: stacks of _TRIPLE_CHUNK // C(9, 3) = 12
-    # pairs, so the first edge falls between sigma 2 and 3 of pivot 3
+    # kept pairs. On a symmetric G every cycle pair agrees, so the screen
+    # keeps all 50 pairs and the first edge falls between sigma 2 and 3 of pivot 3
     stacks = []
 
     def spy(kernels, tol):
@@ -327,16 +332,179 @@ def test_reduce_scan_stack_edge_inside_a_sigma_row(monkeypatch):
     assert width % len(grid)
     p, j = divmod(width - 1, len(grid))  # the last pair before the edge, 0-based
     rng = np.random.default_rng(1406)
-    g = rng.uniform(0.1, 1.0, (10, 10)) + np.diag(rng.uniform(3.0, 10.0, 10))
-    # its kernel has a zero entry (1, 2), so the triples through 1 and 2 are
-    # symmetrizable there and not at the next sigma
-    g[0, 1] = grid[j] / (1.0 + grid[j] * g[p, p]) * (g[0, p] * g[p, 1])
+    g = rng.uniform(0.1, 1.0, (10, 10))
+    g = g + g.T + np.diag(rng.uniform(30.0, 60.0, 10))  # every other entry stays positive
+    # its kernel's entries (1, 2) and (2, 1) are zero and turn negative at the
+    # next sigma, so the triples through 1 and 2 are symmetrizable there and not
+    # at the next sigma, where their forward cycles are negative
+    g[0, 1] = g[1, 0] = grid[j] / (1.0 + grid[j] * g[p, p]) * (g[0, p] * g[p, 1])
     pivots = reduce_scan(g, grid, TOL)
     assert pivots == reduce_scan_loop(g, grid, TOL)
     assert stacks == [width] * (50 // width) + [50 % width]
     scan = pivots[p]["scan"]
     assert [1, 2, 3] in scan[j]["symmetrizable_3subsets"]
     assert [1, 2, 3] not in scan[j + 1]["symmetrizable_3subsets"]
+    assert [3, 4, 5] in scan[j + 1]["symmetrizable_3subsets"]
+
+
+def unscreened(patch):
+    """Make reduce_scan keep every pair: the batched route without its screen."""
+    patch.setattr(reductions, "_near_zero", lambda sub, *args: np.ones(len(sub), dtype=bool))
+
+
+SCREEN_TOLERANCES = [
+    Tolerance(),
+    Tolerance(zero_tol=1e-3, rel_tol=0.5),
+    Tolerance(zero_tol=1e-3, rel_tol=1e-2),
+    Tolerance(zero_tol=1e-14, rel_tol=1e-5),
+    Tolerance(zero_tol=1e-14, rel_tol=1e-13),
+    Tolerance(zero_tol=1e-3, rel_tol=1e-16),
+]
+
+
+def similar_to_symmetric(rng, n, signed):
+    """D S D^-1 for a symmetric S with a positive diagonal: every triple's
+    breakpoint quadratic vanishes, up to rounding."""
+    s = rng.uniform(-1.0 if signed else 0.1, 1.0, (n, n))
+    s = s + s.T
+    np.fill_diagonal(s, rng.uniform(2.0, 6.0, n))
+    d = rng.uniform(0.5, 2.0, n) if rng.random() < 0.7 else np.ones(n)
+    return s * np.outer(d, 1.0 / d)
+
+
+def screen_case(rng, n, family, scale, tol):
+    """G and a sigma grid on an edge of reduce_scan's screen."""
+    if family == "similar":
+        return scale * similar_to_symmetric(rng, n, rng.random() < 0.5), [0.1, 0.5, 2.0]
+    if family == "tie":
+        # every ratio 1 but one, moved by about rel_tol: at sigma < 0 the
+        # triples through it have |P(c)| close to rel_tol (M + |c|)^3, and
+        # their cycles tie within rel_tol or just miss
+        g = np.ones((n, n))
+        np.fill_diagonal(g, rng.uniform(2.0, 3.0, n))
+        a, b = rng.choice(n, 2, replace=False)
+        g[a, b] *= 1.0 + rng.uniform(0.3, 1.5) * tol.rel_tol
+        d = rng.uniform(0.5, 2.0, n)
+        return scale * g * np.outer(d, 1.0 / d), [-0.3 / scale, -0.1 / scale, 0.1 / scale]
+    g = rng.uniform(0.1, 1.0, (n, n))
+    np.fill_diagonal(g, rng.uniform(0.2, 1.5, n))
+    g *= scale
+    p = int(rng.integers(n))
+    if family == "zero":
+        # kernel entry (a, b) of pivot p at sigma 0.5 is zero, or one ulp off it
+        sigma = 0.5 / scale
+        a, b = rng.choice([i for i in range(n) if i != p], 2, replace=False)
+        g[a, b] = sigma / (1.0 + sigma * g[p, p]) * (g[a, p] * g[p, b])
+        g[a, b] = rng.choice([g[a, b], np.nextafter(g[a, b], 0.0), np.nextafter(g[a, b], np.inf)])
+        return g, [0.1 / scale, sigma, 2.0 / scale]
+    # sigma = c / (1 - c G_pp) puts the kernel's c on a root of a triple's quadratic
+    gamma, rest = g / np.outer(g[:, p], g[p]), [i + 1 for i in range(n) if i != p]
+    grid = [0.5 / scale]
+    for triple in classify.triple_table(n - 1)[0]:
+        roots = symmetrizability_breakpoints(gamma, [rest[i] for i in triple], g[p, p], tol).values
+        grid += [c / (1.0 - c * g[p, p]) for c in roots]
+    return g, grid[:5]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 7),
+    family=st.sampled_from(["breakpoint", "zero", "similar", "tie"]),
+    exponent=st.integers(-12, 12),
+    tol=st.sampled_from(SCREEN_TOLERANCES),
+    negative=st.booleans(),
+)
+def test_reduce_scan_screen_matches_the_loop(seed, n, family, exponent, tol, negative):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    g, grid = screen_case(rng, n, family, scale, tol)
+    if negative:
+        grid += [-0.3 / scale, -1.0 / scale]
+    stacks = []
+
+    def spy(kernels, tol):
+        stacks.append(len(kernels))
+        return classify._symmetrizable(kernels, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reductions, "_symmetrizable", spy)
+        got = outcome(lambda: reduce_scan(g, grid, tol))
+    with pytest.MonkeyPatch.context() as patch:
+        unscreened(patch)
+        assert got == outcome(lambda: reduce_scan(g, grid, tol))
+    # below 1e-9, a tie within a few ulps of rel_tol is common, and the loop
+    # rounds its cycles differently from the batched route
+    if tol.rel_tol >= 1e-9:
+        assert got == outcome(lambda: reduce_scan_loop(g, grid, tol))
+    if family == "similar" and not got.startswith(("ValueError", "OverflowError")):
+        # every cycle pair agrees, so the screen keeps every non-pole pair
+        assert sum(stacks) == got.count('"status": "ok"')
+
+
+def test_reduce_scan_screen_drops_pairs_without_candidates(monkeypatch):
+    # a random positive G lists no triple at the CLI's sigmas, and the screen
+    # sends none of its 50 kernels to _symmetrizable
+    def forbidden(kernels, tol):
+        raise AssertionError("no pair should pass the screen")
+
+    monkeypatch.setattr(reductions, "_symmetrizable", forbidden)
+    rng = np.random.default_rng(1408)
+    g = rng.uniform(0.1, 1.0, (10, 10)) + np.diag(rng.uniform(3.0, 10.0, 10))
+    grid = list(cli.build_parser().parse_args(["reduce-scan", "--input", "g.json"]).sigma_grid)
+    pivots = reduce_scan(g, grid, TOL)
+    assert pivots == reduce_scan_loop(g, grid, TOL)
+    assert all(point["symmetrizable_3subsets"] == [] for entry in pivots for point in entry["scan"])
+
+
+def test_reduce_scan_screen_keeps_cycles_beyond_normal_doubles(monkeypatch):
+    # pivot 4's only triple: the pivot column (1, 1e-160, 1e-160) makes both
+    # 3-cycles of the kernel about 1e-320 times its largest entry cubed, which
+    # _cycle_products cannot resolve, while the ratio cycles differ by 1e-7.
+    # The zero diagonal leaves pivots 1-3 unusable; sigma < 0 keeps the
+    # kernel's diagonal positive
+    col = np.array([1.0, 1e-160, 1e-160])
+    ratios = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 3.0], [4.0, 4.0 * (1.0 + 1e-7), 0.0]])
+    g = np.ones((4, 4))
+    g[:3, 3] = col
+    g[:3, :3] = np.outer(col, np.ones(3)) * ratios
+    np.fill_diagonal(g, [0.0, 0.0, 0.0, 1.0])
+    tol, grid = Tolerance(zero_tol=1e-200), [-0.1, -0.5, -2.0]
+    pivots = reduce_scan(g, grid, tol)
+    unscreened(monkeypatch)
+    assert pivots == reduce_scan(g, grid, tol)
+
+
+def test_reduce_scan_screen_keeps_pairs_whose_bound_underflows(monkeypatch):
+    # all ratios about 10^-105, so the screen's bound kappa (M + |c|)^3 is
+    # below the normal doubles, while the kernels' cycles tie within rel_tol
+    g = np.ones((4, 4))
+    np.fill_diagonal(g, [2.59577349002934, 2.51380054505401, 2.6944919040074025, 2.65249674975339])
+    g[1, 3] *= 1.0 + 1.0078115985557754e-9
+    scale = 10.0**105.16783995433236
+    g *= scale
+    grid = [-0.1 / scale, -0.3 / scale]
+    pivots = reduce_scan(g, grid, TOL)
+    listed = [point["symmetrizable_3subsets"] for entry in pivots for point in entry["scan"]]
+    assert listed == [[[1, 2, 3]]] * 8
+    unscreened(monkeypatch)
+    assert pivots == reduce_scan(g, grid, TOL)
+
+
+def test_reduce_scan_screen_reads_every_triple_slice(monkeypatch):
+    # n = 25: each pivot's C(24, 3) = 2,024 triples run in slices of
+    # _TRIPLE_CHUNK; sigma puts pivot 1's c on a root of triple 1,024, the
+    # first of the second slice, whose kernel block is then symmetrizable
+    rng = np.random.default_rng(1409)
+    g = rng.uniform(0.1, 1.0, (25, 25))
+    np.fill_diagonal(g, rng.uniform(0.2, 1.0, 25))
+    triple = classify.triple_table(24)[0][reductions._TRIPLE_CHUNK] + 2  # labels in G
+    c = symmetrizability_breakpoints(ratio_matrix(g, 1, TOL), triple, g[0, 0], TOL).values[0]
+    grid = [c / (1.0 - c * g[0, 0]), 0.5]
+    pivots = reduce_scan(g, grid, TOL)
+    assert (triple - 1).tolist() in pivots[0]["scan"][0]["symmetrizable_3subsets"]
+    unscreened(monkeypatch)
+    assert pivots == reduce_scan(g, grid, TOL)
 
 
 def test_reduce_scan_breakpoints_across_pivot_stacks():
